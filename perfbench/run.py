@@ -1,7 +1,7 @@
 """Run a workload of the CDC benchmark and print its metrics.
 
-    python3 perfbench/run.py --workload drain_backlog --seed 1 \\
-        --seconds 12 --trace 0
+    python3 perfbench/run.py --workload tail_index --seed 1 \\
+        --seconds 20 --trace 0
 
 Run from the root of a source tree of the program. The last line of
 standard output is one JSON object: ``correct``, ``attempted``,
@@ -136,28 +136,35 @@ def _tracing_gap(workload: str, stamp: str, traced: dict) -> dict | None:
         return None
     gap = {}
     for name, v in traced.items():
-        base = statistics.median(r[name] for r in runs)
+        xs = [r[name] for r in runs if name in r]
+        base = statistics.median(xs) if xs else None
         gap[name] = v / base - 1.0 if base else None
     return {"untraced_runs": len(runs), "relative_gap": gap}
 
 
 def _result_line(ctx, ray_init_s: float, cores: int, load) -> dict:
-    """The workload's JSON result; a traced run also writes its spans,
-    per-layer metrics and tracing overhead to ``.perfbench/traces/``."""
+    """The workload's JSON result, after a line with its wall-clock
+    figures; a traced run also writes its spans, per-layer metrics and
+    tracing overhead to ``.perfbench/traces/``."""
     from perfbench import workloads
 
     e2e = workloads.end_to_end(ctx, ray_init_s)
+    wall = workloads.wall_figures(ctx)
+    print(json.dumps({"workload": ctx.name,
+                      "wall": {k: {"value": v, "unit": u}
+                               for k, (v, u) in wall.items()}}), flush=True)
+    figures = {k: v for k, (v, _) in {**e2e, **wall}.items()}
     stamp = json.dumps(dataclasses.asdict(ctx.shape), sort_keys=True)
     if ctx.tracer.on:
         layers = workloads.per_layer(ctx, cores)
         metrics = {k: layers[k] for k in workloads.PER_LAYER}
-        gap = _tracing_gap(ctx.name, stamp, {k: v for k, (v, _) in e2e.items()})
+        gap = _tracing_gap(ctx.name, stamp, figures)
         path = STATE / "traces" / \
             f"{ctx.name}-seed{ctx.seed}-{int(time.time())}.json"
         ctx.tracer.dump(path, {
             "workload": ctx.name, "seed": ctx.seed, "cpu_count": cores,
             "loadavg": load,
-            "end_to_end": {k: v for k, (v, _) in e2e.items()},
+            "end_to_end": figures,
             "per_layer": {k: v for k, (v, _) in layers.items()},
             "tracing_overhead": {"tracer_self_s": ctx.tracer.self_s,
                                  "end_to_end_vs_untraced": gap}})
@@ -169,7 +176,7 @@ def _result_line(ctx, ray_init_s: float, cores: int, load) -> dict:
                           "tracing_overhead": gap}), flush=True)
     else:
         metrics = e2e
-        _record_untraced(ctx.name, stamp, {k: v for k, (v, _) in e2e.items()})
+        _record_untraced(ctx.name, stamp, figures)
     return {"correct": ctx.failed == 0, "attempted": ctx.attempted,
             "failed": ctx.failed,
             "metrics": {k: {"value": v, "unit": u}
@@ -246,6 +253,8 @@ def main(argv=None) -> int:
             workloads.WORKLOADS[n](ctx)
             print(json.dumps({"workload": n, "rounds": len(ctx.poll_s),
                               "setup_builds_s": ctx.setup_builds,
+                              "commit_s": ctx.commit_s,
+                              "fresh_s": ctx.fresh_s,
                               "workload_s": time.perf_counter() - t,
                               "inputs_s": unmeasured,
                               "ray_init_s": ray_init_s,
