@@ -95,6 +95,52 @@ INTERNAL_SEQ = "_seq"
 INTERNAL_DELETED = "_deleted"
 
 
+def lww_apply_table(base: pa.Table, changes: pa.Table, schema: pa.Schema,
+                    *, key: str = DEFAULT_KEY,
+                    version_ts: str = "warc_ts") -> pa.Table:
+    """Arrow twin of ``apply_changes`` for its default policy
+    (``overwrite=True``, no ``protected`` columns, no managed timestamps,
+    ``insert_missing=True``, no change events): the merged snapshot in
+    ``schema`` (which carries ``_seq`` / ``_deleted``), sorted by key.
+
+    The change rows are conformed to ``schema`` (``seq`` → ``_seq``,
+    ``op == "delete"`` → ``_deleted``, missing columns null, extra
+    columns dropped), appended after the base and reduced by
+    ``lww_dedup_table`` on ``(version_ts, _seq)``. Arrow's sort is
+    stable, so on an exact ``(key, ts, seq)`` tie the change row wins —
+    the concat order makes it win in ``apply_changes`` too. Null keys
+    are dropped, as the pandas groupby drops them; float NaN comes out
+    null and a null ``_deleted`` false, as the pandas round trip makes
+    them."""
+    n = changes.num_rows
+    cols = []
+    for f in schema:
+        if f.name == INTERNAL_DELETED:
+            col = pc.equal(changes["op"], "delete")
+        else:
+            src = "seq" if f.name == INTERNAL_SEQ else f.name
+            if src not in changes.column_names:
+                cols.append(pa.nulls(n, type=f.type))
+                continue
+            col = changes[src]
+        cols.append(col if col.type.equals(f.type) else col.cast(f.type))
+    both = pa.concat_tables([base.select(schema.names).cast(schema),
+                             pa.Table.from_arrays(cols, schema=schema)])
+    if both[key].null_count:
+        both = both.filter(pc.is_valid(both[key]))
+    out = lww_dedup_table(both, key, (version_ts, INTERNAL_SEQ))
+    for i, f in enumerate(schema):
+        col = out[i]
+        if f.name == INTERNAL_DELETED:
+            col = pc.fill_null(col, False)
+        elif pa.types.is_floating(f.type):
+            col = pc.if_else(pc.is_nan(col), pa.scalar(None, f.type), col)
+        else:
+            continue
+        out = out.set_column(i, f, col)
+    return out
+
+
 def apply_changes(
     base: pd.DataFrame,
     changes: pd.DataFrame,

@@ -168,7 +168,7 @@ class LakeBucketLayout:
                 pid = int(pid)
                 part = head_parts[pid]
                 if part.get("deltas"):
-                    t, _ = _resolve_mor_pid(
+                    t = _resolve_mor_pid(
                         lake_root, part, dc,
                         columns=(None if columns is None
                                  else [key, *columns]), **mor_kw)

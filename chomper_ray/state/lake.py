@@ -45,6 +45,7 @@ from chomper_ray.stages.merge import (
     INTERNAL_DELETED,
     INTERNAL_SEQ,
     apply_changes,
+    lww_apply_table,
     lww_dedup_table,
     stable_bucket,
 )
@@ -349,6 +350,9 @@ class _PartitionMerger:
         rid = pid // _staging_range_size(self.num_partitions)
         staged = fs_glob(_as_root(self.staging_root) / f"epoch={epoch:06d}"
                          / f"r={rid:05d}", "*.parquet")
+        if not staged:
+            # a drain epoch that staged no rows in this partition's range
+            return pa.table({})
         # row-group pruning on _bucket stats: only this bucket's rows load
         changes = pa.concat_tables(
             [fs_read_table(f, filters=[(BUCKET_COL, "=", pid)])
@@ -526,7 +530,7 @@ class _MorDeltaWriter(_PartitionMerger):
     file next to the base snapshot. No base read, no base rewrite: commit
     write amplification is ~1 regardless of table size. The merge is
     deferred to read()/lookup()/compact_deltas(), which replay
-    ``apply_changes`` base → deltas in commit order — the exact
+    ``_replay_step`` base → deltas in commit order — the exact
     computation copy-on-write would have run at commit time.
     """
 
@@ -578,16 +582,21 @@ def _replay_step(base_tbl: pa.Table, changes: pa.Table, target: pa.Schema,
                  *, key: str, version_ts: str, overwrite: bool,
                  protected: tuple[str, ...], managed: bool,
                  insert_missing: bool,
-                 commit_ts_us: int) -> tuple[pa.Table, str]:
+                 commit_ts_us: int) -> pa.Table:
     """One deferred merge step (read-time twin of ``_merge_step`` minus
-    the file writes): conform the base to the commit's target schema and
-    apply the delta's change rows. Deterministic output (sorted by key).
-    The returned content hash is computed on the snapshot-schema
-    projection — the exact content ``_merge_step`` writes and hashes —
-    so a full replay's final hash equals the copy-on-write manifest
-    hash bit-for-bit, and ``fsck`` can re-derive either from the file
-    bytes alone."""
+    the file writes and the hash): conform the base to the commit's
+    target schema and apply the delta's change rows. Returns the
+    snapshot-schema table ``_merge_step`` would have written, sorted by
+    key, so hashing the last step's result gives the copy-on-write
+    manifest hash bit-for-bit. The default policy (last writer wins, no
+    ``protected``, no managed timestamps, ``insert_missing``) runs in
+    Arrow (``lww_apply_table``); the others go through
+    ``apply_changes``."""
     base_tbl = _conform_snapshot(base_tbl, target, managed)
+    out_schema = _snapshot_schema(target, managed)
+    if overwrite and not protected and not managed and insert_missing:
+        return lww_apply_table(base_tbl, changes, out_schema, key=key,
+                               version_ts=version_ts)
     base = base_tbl.to_pandas(types_mapper=None)
     ch = changes.to_pandas()
     new, _ = apply_changes(
@@ -597,19 +606,17 @@ def _replay_step(base_tbl: pa.Table, changes: pa.Table, target: pa.Schema,
         collect_changes=False, insert_missing=insert_missing,
     )
     new = new.sort_values(key, kind="stable").reset_index(drop=True)
-    out_schema = _snapshot_schema(target, managed)
-    out_tbl = pa.Table.from_pandas(new[[f.name for f in out_schema]],
-                                   schema=out_schema, preserve_index=False)
-    return out_tbl, snapshot_content_hash(out_tbl.to_pandas(), key)
+    return pa.Table.from_pandas(new[[f.name for f in out_schema]],
+                                schema=out_schema, preserve_index=False)
 
 
 def _resolve_mor_pid(root: str | Path, part: dict, delta_commits: dict,
                      *, key: str, version_ts: str, overwrite: bool,
                      protected: tuple[str, ...], managed: bool,
                      insert_missing: bool, columns=None,
-                     key_filter=None) -> tuple[pa.Table | None, str | None]:
+                     key_filter=None) -> pa.Table | None:
     """Resolve one partition's current state from its base snapshot plus
-    pending merge-on-read deltas, replaying ``apply_changes`` in commit
+    pending merge-on-read deltas, replaying ``_replay_step`` in commit
     order. ``columns`` prunes the replay to the requested fields (plus
     key/version/internals — per-column LWW/fold/protected semantics are
     column-local, so prune-then-merge ≡ merge-then-prune). ``key_filter``
@@ -618,10 +625,11 @@ def _resolve_mor_pid(root: str | Path, part: dict, delta_commits: dict,
     path) — merges are per-key independent, so filtering both sides
     first is exact either way.
 
-    Returns ``(resolved_table, content_hash)``; the hash is only
-    meaningful for full-column, unfiltered resolution (it then equals
-    what a copy-on-write merge chain would have recorded in its
-    manifest) and is the carried base hash when no deltas are pending."""
+    Returns the resolved table (None when the partition has neither a
+    base nor deltas). It computes no content hash: a caller that needs
+    one (``_resolved_hashes``, ``compact_deltas``) hashes the result of
+    a full-column, unfiltered resolution once, and gets what a
+    copy-on-write merge chain would have recorded in its manifest."""
     import pyarrow.compute as pc
 
     root = _as_root(root)
@@ -679,10 +687,9 @@ def _resolve_mor_pid(root: str | Path, part: dict, delta_commits: dict,
         base_tbl = _snapshot_schema(prune(targets[deltas[0]["commit_id"]]),
                                     managed).empty_table()
     else:
-        return None, None
+        return None
     if key_filter is not None:
         base_tbl = base_tbl.filter(key_mask(base_tbl[key]))
-    content_hash = part.get("hash")
     for d in deltas:
         cid = d["commit_id"]
         dc = delta_commits[str(cid)]
@@ -695,12 +702,12 @@ def _resolve_mor_pid(root: str | Path, part: dict, delta_commits: dict,
         changes = fs_read_table(root / d["file"], columns=ch_cols)
         if key_filter is not None:
             changes = changes.filter(key_mask(changes[key]))
-        base_tbl, content_hash = _replay_step(
+        base_tbl = _replay_step(
             base_tbl, changes, target, key=key, version_ts=version_ts,
             overwrite=overwrite, protected=protected, managed=managed,
             insert_missing=insert_missing,
             commit_ts_us=int(dc["commit_ts_us"]))
-    return base_tbl, content_hash
+    return base_tbl
 
 
 def snapshot_content_hash(df: pd.DataFrame, key: str) -> str:
@@ -708,10 +715,13 @@ def snapshot_content_hash(df: pd.DataFrame, key: str) -> str:
     file bytes — Parquet metadata isn't stable). Deterministic across
     processes (fixed pandas hash key). List-typed columns (embeddings)
     hash by dtype-tagged raw bytes — array cells are unhashable and
-    their truthiness breaks ``notna`` masking otherwise."""
+    their truthiness breaks ``notna`` masking otherwise.
+
+    The hash is the sum of the row hashes mod 2^64, so row order cannot
+    change it and the frame is hashed as given (``key`` is kept for the
+    callers' signature)."""
     if not len(df):
         return "0"
-    s = df.sort_values(key, kind="stable").reset_index(drop=True)
 
     def cell_bytes(v):
         if isinstance(v, (np.ndarray, list, tuple)):
@@ -719,9 +729,12 @@ def snapshot_content_hash(df: pd.DataFrame, key: str) -> str:
             return str(a.dtype).encode() + a.tobytes()
         return v
 
-    for c in s.columns:
-        if s[c].dtype == object and any(
-                isinstance(v, (np.ndarray, list, tuple)) for v in s[c]):
+    s = df
+    for c in df.columns:
+        if df[c].dtype == object and any(
+                isinstance(v, (np.ndarray, list, tuple)) for v in df[c]):
+            if s is df:
+                s = df.copy()  # never rewrite the caller's frame
             s[c] = s[c].map(cell_bytes)
     h = pd.util.hash_pandas_object(
         s.astype(object).where(s.notna(), None), index=False)
@@ -826,14 +839,14 @@ def materialize_mor_commit_diff(root, man: dict, prev_man: dict | None,
             d = touched[str(pid)]
             changes = fs_read_table(_as_root(roots) / d["file"])
             keys = pc.unique(changes[key])
-            old_tbl, _ = _resolve_mor_pid(
+            old_tbl = _resolve_mor_pid(
                 roots, prev_parts.get(str(pid)) or {}, prev_dc,
                 key_filter=keys, **kw)
             if old_tbl is None:
                 old_tbl = _snapshot_schema(target, managed).empty_table()
             old_tbl = _conform_snapshot(old_tbl, target, managed)
-            new_tbl, _ = _replay_step(old_tbl, changes, target,
-                                      commit_ts_us=commit_ts_us, **kw)
+            new_tbl = _replay_step(old_tbl, changes, target,
+                                   commit_ts_us=commit_ts_us, **kw)
             nf = of = ""
             if old_tbl.num_rows:
                 of = f"{scratchs}/old-p{pid:05d}.parquet"
@@ -979,7 +992,7 @@ def materialize_mor_resolved(root, man: dict, mor_kwargs: dict,
         out = []
         for pid in batch["pid"].to_pylist():
             pid = int(pid)
-            tbl, _ = _resolve_mor_pid(roots, pend[str(pid)], dc, **kw)
+            tbl = _resolve_mor_pid(roots, pend[str(pid)], dc, **kw)
             f = ""
             if tbl is not None and tbl.num_rows:
                 f = f"{scratchs}/resolved-p{pid:05d}.parquet"
@@ -1069,13 +1082,14 @@ class LakeTable:
         self.id_field = id_field
 
     # -- metadata ---------------------------------------------------------
-    def _sync_partitions(self) -> int:
+    def _sync_partitions(self, m: dict | None = None) -> int:
         """Reconcile the partition count with the committed manifest —
         called at every commit / lookup entry point. Manifest present →
         adopt its value (raise if an explicit constructor arg disagrees);
         no manifest → the requested value (or the default) seeds the
-        first commit."""
-        m = load_manifest(self.root)
+        first commit. ``m``: the head manifest, when already loaded."""
+        if m is None:
+            m = load_manifest(self.root)
         if m is not None and m.get("num_partitions") is not None:
             committed = int(m["num_partitions"])
             req = self._requested_partitions
@@ -1141,13 +1155,15 @@ class LakeTable:
         root = _as_root(self.root)
         dc = m.get("delta_commits", {})
         kw = self._mor_kwargs()
+        key = self.key
 
         def hash_pid(batch: pa.Table) -> pa.Table:
             out_p, out_h = [], []
             for pid in batch["pid"].to_pylist():
-                _, h = _resolve_mor_pid(root, parts[str(int(pid))], dc, **kw)
+                tbl = _resolve_mor_pid(root, parts[str(int(pid))], dc, **kw)
                 out_p.append(str(int(pid)))
-                out_h.append(h or "0")
+                out_h.append("0" if tbl is None else
+                             snapshot_content_hash(tbl.to_pandas(), key))
             return pa.table({"pid": out_p, "hash": out_h})
 
         pids = sorted(parts, key=int)
@@ -1504,11 +1520,12 @@ class LakeTable:
         sequential commits."""
         import ray.data as rd
 
-        n = max(1, len(plan))
         if self.id_field:
+            # one staging job covered every epoch: its wall goes whole on
+            # the first commit (each commit measures its own merge)
             return [self.commit_staged(e, t, touched_by_epoch.get(e, []),
-                                       stage_s=stage_s / n)
-                    for e, t in plan]
+                                       stage_s=stage_s if i == 0 else 0.0)
+                    for i, (e, t) in enumerate(plan)]
         applied = self.last_applied_log_epoch()
         plan = [(e, t) for e, t in plan
                 if applied is None or e > applied]
@@ -1572,6 +1589,17 @@ class LakeTable:
         merge_s = time.perf_counter() - t0
         for e, _ in plan:
             self.wipe_staging(e)
+        # per-epoch timings: the one staging job's wall goes whole on the
+        # first epoch; the one merge job's wall is split by each epoch's
+        # share of the per-partition merge walls the tasks measured
+        # (all on the first epoch when nothing was measured)
+        walls = [float(stats.loc[stats["epoch"] == e, "wall_s"].sum())
+                 for e, _ in plan]
+        if sum(walls) <= 0:
+            walls = [1.0] + [0.0] * (len(plan) - 1)
+        timing = {e: (stage_s if i == 0 else 0.0,
+                      merge_s * walls[i] / sum(walls))
+                  for i, (e, _) in enumerate(plan)}
 
         partitions = dict(prev_parts)
         delta_commits = dict((prev or {}).get("delta_commits") or {})
@@ -1613,7 +1641,7 @@ class LakeTable:
                 "commit_ts_us": ts(e),
                 "partitions": dict(partitions),
                 "lineage": lineage,
-                "wall_s": round((stage_s + merge_s) / len(plan), 4),
+                "wall_s": round(sum(timing[e]), 4),
             }
             if self.merge_on_read:
                 delta_commits[str(cids[e])] = {
@@ -1628,8 +1656,10 @@ class LakeTable:
                 # committed with IDENTICAL content (merges are
                 # deterministic over the same log) — mark skipped and
                 # keep going; later manifests in this chain remain valid
-                results.append(CommitResult(epoch=e, commit_id=cids[e],
-                                            skipped=True))
+                results.append(CommitResult(
+                    epoch=e, commit_id=cids[e], skipped=True,
+                    wall_s=sum(timing[e]), stage_s=timing[e][0],
+                    merge_s=timing[e][1]))
                 continue
             results.append(CommitResult(
                 epoch=e, commit_id=cids[e], skipped=False,
@@ -1639,8 +1669,8 @@ class LakeTable:
                 total_rows=(-1 if self.merge_on_read else
                             sum(int(v["live_rows"])
                                 for v in partitions.values())),
-                wall_s=(stage_s + merge_s) / len(plan),
-                stage_s=stage_s / len(plan), merge_s=merge_s / len(plan),
+                wall_s=sum(timing[e]), stage_s=timing[e][0],
+                merge_s=timing[e][1],
                 lineage=lineage,
             ))
         return results
@@ -1730,8 +1760,8 @@ class LakeTable:
 
             out = []
             for pid in batch["pid"].to_pylist():
-                t, _ = _resolve_mor_pid(root, parts[str(int(pid))], dc,
-                                        columns=columns, **kw)
+                t = _resolve_mor_pid(root, parts[str(int(pid))], dc,
+                                     columns=columns, **kw)
                 if t is None or t.num_rows == 0:
                     continue
                 # old untouched partitions may predate the latest schema:
@@ -1920,8 +1950,12 @@ class LakeTable:
         m = load_manifest(self.root, as_of_epoch)
         if not m:
             return pd.DataFrame()
-        self._sync_partitions()  # adopt/validate the committed count
-        pid = int(stable_bucket([key_value], self.num_partitions)[0])
+        if as_of_epoch is None:
+            self._sync_partitions(m)  # adopt/validate the committed count
+        # bucket with the count the manifest was written under: a
+        # repartition since ``as_of_epoch`` changed the current one
+        pid = int(stable_bucket(
+            [key_value], int(m.get("num_partitions") or self.num_partitions))[0])
         part = m["partitions"].get(str(pid))
         if part is None:
             return pd.DataFrame()
@@ -1930,7 +1964,7 @@ class LakeTable:
             # deltas (base + deltas filtered to the key first — exact,
             # merges are per-key independent). Still O(one partition's
             # files), no scan.
-            tbl, _ = _resolve_mor_pid(
+            tbl = _resolve_mor_pid(
                 self.root, part, m.get("delta_commits", {}),
                 columns=columns, key_filter=key_value, **self._mor_kwargs())
         else:
@@ -1954,7 +1988,7 @@ class LakeTable:
         if manifest_has_deltas(m):
             mkw = self._mor_kwargs()
             dc = m.get("delta_commits", {})
-            tables = [t for t, _ in
+            tables = [t for t in
                       (_resolve_mor_pid(self.root, v, dc, **mkw)
                        for _, v in sorted(m["partitions"].items(),
                                           key=lambda kv: int(kv[0])))
@@ -2147,12 +2181,12 @@ class LakeTable:
                        min_chain: int = 0) -> CommitResult:
         """Maintenance commit folding pending merge-on-read deltas into
         fresh base snapshots. One Ray task per selected delta-bearing
-        partition replays ``apply_changes`` base → deltas in commit
-        order and writes a new snapshot; untouched partitions carry
-        forward. Folded partitions' hashes equal what a copy-on-write
-        chain would have recorded (``_replay_step`` hashes the
-        identical frame), so COW-vs-MOR equivalence is checkable
-        bit-for-bit.
+        partition replays ``_replay_step`` base → deltas in commit
+        order, writes a new snapshot and hashes it once; untouched
+        partitions carry forward. Folded partitions' hashes equal what a
+        copy-on-write chain would have recorded (the last replay step
+        yields the identical table), so COW-vs-MOR equivalence is
+        checkable bit-for-bit.
 
         ``min_chain`` selects MINOR compaction: only partitions whose
         pending chain is at least that deep are folded; shallower
@@ -2197,7 +2231,8 @@ class LakeTable:
             out = []
             for pid in batch["pid"].to_pylist():
                 pid = int(pid)
-                tbl, h = _resolve_mor_pid(root, pend[str(pid)], dc, **kw)
+                tbl = _resolve_mor_pid(root, pend[str(pid)], dc, **kw)
+                h = snapshot_content_hash(tbl.to_pandas(), key)
                 rel = f"{_DATA_DIR}/p={pid:05d}/snap-{epoch:06d}m.parquet"
                 fs_publish_table(tbl, _as_root(root) / rel)
                 live = int(pa.compute.sum(pa.compute.invert(
