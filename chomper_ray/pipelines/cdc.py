@@ -8,13 +8,16 @@ Reference ancestry: ``Importer.run()`` with ``close_when_idle=False``
 Here each **epoch** of the change log is one committed unit:
 
     read epoch segments → map_batches transform chain (HTML→text
-    extraction on an actor pool, drop html early) → LakeTable.commit_epoch
-    (partial LWW reduce → bucket shuffle → per-partition copy-on-write
-    merge → atomic manifest)
+    extraction as stateless tasks, drop html early) → LakeTable.stage
+    (partial LWW reduce → per-bucket staging files) →
+    LakeTable.commit_staged (per-partition copy-on-write merge → atomic
+    manifest)
 
-Resume = ``max(committed epochs) + 1`` (the checkpoint cursor); replaying
-any committed epoch is a no-op, so crash-at-any-point → rerun converges to
-the identical snapshot hash (tested).
+A backlog drain stages and merges many epochs in one pass each; the
+commit path is the same. Resume = the binlog cursor recorded in the head
+manifest, + 1; replaying any committed epoch is a no-op, so
+crash-at-any-point → rerun converges to the identical snapshot hash
+(tested).
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import pyarrow as pa
 
 from chomper_ray.functions.extract import extract_text_column
 from chomper_ray.sources import events as ev
-from chomper_ray.state.lake import CommitResult, LakeTable
+from chomper_ray.state.lake import (CommitResult, LakeTable, load_manifest,
+                                    log_cursor, plan_targets)
 
 
 class ExtractText:
@@ -96,8 +100,6 @@ def run_cdc(
     lake_root: str | Path,
     *,
     num_partitions: int | None = None,
-    extract_concurrency: int | None = None,
-    extract_batch_size: int | None = None,
     max_epochs: int | None = None,
     lake_kwargs: dict | None = None,
     drain: bool = False,
@@ -106,12 +108,22 @@ def run_cdc(
     epoch_transform=None,
 ) -> CdcRunResult:
     """Tail the change log from the lake's checkpoint cursor to the log
-    head, committing one epoch at a time. Idempotent + resumable.
+    head. Idempotent + resumable.
 
-    Extraction runs as STATELESS tasks by default — its state (compiled
-    regexes) is module-level, so an actor pool would only add per-epoch
-    actor startup latency. Pass ``extract_concurrency`` to force an actor
-    pool (the shape a model-loading extractor needs).
+    Pending epochs commit in batches, each one staging pass plus one
+    ``LakeTable.commit_staged`` (merge, then the manifests in epoch
+    order). By default every epoch is its own batch. ``drain`` makes the
+    whole backlog one batch: one staging Dataset over every pending
+    segment file and one merge execution, with no per-epoch barrier.
+    Target schemas are resolved by chaining the registry over the
+    segment schemas up front, which is exactly what epoch-by-epoch
+    commits would resolve (reconcile is order-insensitive —
+    property-tested). Staging is wiped on entry, so a crash mid-batch
+    re-enters cleanly from the committed cursor.
+
+    Extraction runs as STATELESS tasks — its state (compiled regexes)
+    is module-level, so an actor pool would only add actor startup
+    latency.
 
     ``source`` is the log-format adapter: any module-like object with
     ``list_epochs / epoch_files / epoch_schema / read_epoch`` (and
@@ -120,8 +132,9 @@ def run_cdc(
     JSONL envelopes through the identical commit path.
 
     ``after_commit(commit_result)`` runs driver-side after each
-    non-skipped commit's manifest has landed — the wiring point for
-    derived maintenance (``MaterializedAgg.refresh`` /
+    non-skipped commit's manifest has landed (under ``drain``, after
+    the batch's last manifest) — the wiring point for derived
+    maintenance (``MaterializedAgg.refresh`` /
     ``LakeTextIndex.refresh`` / layout refresh), which then follows the
     feed commit-by-commit, merge-on-read included. The callback must be
     idempotent-from-anywhere (every ``refresh()`` is: it walks the
@@ -135,17 +148,20 @@ def run_cdc(
     map over the epoch's post-extraction Dataset, or None for
     passthrough — the hook for per-epoch gates whose state advances
     with the commits (e.g. the near-dup admission filter,
-    ``state/dupindex.run_cdc_admitted``). Setting it forces the
-    sequential per-epoch path even under ``drain`` — such a gate must
-    observe each commit before judging the next epoch.
+    ``state/dupindex.run_cdc_admitted``). Setting it makes every epoch
+    its own batch even under ``drain`` — such a gate must observe each
+    commit before judging the next epoch.
     """
+    import ray.data as rd
+
     t0 = time.perf_counter()
     source = source if source is not None else ev
     lake = LakeTable(lake_root, num_partitions=num_partitions,
                      **(lake_kwargs or {}))
     # the BINLOG cursor, not the manifest-chain head: maintenance commits
     # (purge/compact between polls) advance the chain but not the cursor
-    last = lake.last_applied_log_epoch()
+    head = load_manifest(lake.root)
+    last = log_cursor(head)
     check = getattr(source, "check_resume", None)
     if check is not None:  # pruned-bus guard: never skip a gap silently
         check(log_dir, last)
@@ -156,127 +172,50 @@ def run_cdc(
 
     res = CdcRunResult()
     extract = ExtractText()
-
-    if drain and len(pending) > 1 and epoch_transform is None:
-        return _run_cdc_drain(log_dir, lake, pending, extract,
-                              extract_batch_size, res, t0, source,
-                              after_commit)
-
-    for epoch in pending:
-        files = source.epoch_files(log_dir, epoch)
-        n_raw = _epoch_rows(source, files)
-        ds = source.read_epoch(log_dir, epoch)
-        # whole blocks as batches (batch_size=None): re-slicing Arrow blocks
-        # into fixed-size batches measurably costs more than it buys for
-        # binary-payload rows; granularity is controlled by segment file
-        # size / block size instead
-        kwargs = dict(batch_format="pyarrow")
-        if extract_batch_size:
-            kwargs["batch_size"] = extract_batch_size
-        if extract_concurrency:
-            ds = ds.map_batches(ExtractText, concurrency=extract_concurrency,
-                                **kwargs)
+    if drain and epoch_transform is None:
+        batches = [pending] if pending else []
+    else:
+        batches = [[e] for e in pending]
+    for i, batch in enumerate(batches):
+        if i:
+            head = load_manifest(lake.root)
+        # only a one-epoch batch carries a transform (see above)
+        tf = epoch_transform(batch[0]) if epoch_transform is not None \
+            else None
+        # resolve each post-transform schema WITHOUT executing the
+        # pipeline: apply the transform chain to an empty batch of the
+        # segment schema
+        hints = {}
+        for e in batch:
+            hint = extract(source.epoch_schema(log_dir, e).empty_table())
+            hints[e] = (tf(hint) if tf is not None else hint).schema
+        if source is ev:
+            ds = rd.read_parquet(
+                [f for e in batch for f in ev.epoch_files(log_dir, e)],
+                partitioning=None)
         else:
-            ds = ds.map_batches(extract, **kwargs)
-        tf = epoch_transform(epoch) if epoch_transform is not None else None
+            ds = source.read_epoch(log_dir, batch[0])
+            for e in batch[1:]:
+                ds = ds.union(source.read_epoch(log_dir, e))
+        # whole blocks as batches (batch_size=None): re-slicing Arrow
+        # blocks into fixed-size batches measurably costs more than it
+        # buys for binary-payload rows; granularity is controlled by
+        # segment file size / block size instead
+        ds = ds.map_batches(extract, batch_format="pyarrow")
         if tf is not None:
             ds = ds.map_batches(tf, batch_format="pyarrow")
-        # resolve the post-transform schema WITHOUT executing the pipeline:
-        # apply the transform chain to an empty batch of the segment schema
-        hint_table = extract(
-            source.epoch_schema(log_dir, epoch).empty_table())
-        if tf is not None:
-            hint_table = tf(hint_table)
-        schema_hint = hint_table.schema
-        commit = lake.commit_epoch(ds, epoch, schema_hint=schema_hint)
-        res.commits.append(commit)
-        if commit.skipped:
-            res.epochs_skipped.append(epoch)
-        else:
-            res.epochs_run.append(epoch)
-            res.events_applied += n_raw
+        staged = lake.stage(ds, plan_targets(head, hints), head)
+        for commit in lake.commit_staged(staged):
+            res.commits.append(commit)
+            if commit.skipped:
+                res.epochs_skipped.append(commit.epoch)
+                continue
+            res.epochs_run.append(commit.epoch)
+            res.events_applied += _epoch_rows(
+                source, source.epoch_files(log_dir, commit.epoch))
             if after_commit is not None:
                 after_commit(commit)
     res.wall_s = time.perf_counter() - t0
-    return res
-
-
-def _run_cdc_drain(log_dir, lake, pending, extract, batch_size, res, t0,
-                   source=ev, after_commit=None):
-    """Backlog-drain mode: when the tail has fallen behind by several
-    epochs, stage ALL pending epochs in ONE parallel pass (one Dataset
-    over every pending segment file — no per-epoch barrier), then merge +
-    commit sequentially (manifests must land in order). Target schemas
-    are resolved by chaining the registry over segment schemas up front,
-    which is exactly what sequential commits would resolve
-    (reconcile is order-insensitive — property-tested).
-
-    Exactly-once: staging for every pending epoch is wiped on entry, so
-    a crash mid-drain re-enters cleanly from the committed cursor.
-    """
-    import time as _time
-
-    import ray.data as rd
-
-    # resolve each pending epoch's target schema by chaining the registry
-    base = lake.current_schema()
-    targets: dict[int, object] = {}
-    n_raw: dict[int, int] = {}
-    for e in pending:
-        seg_schema = source.epoch_schema(log_dir, e)
-        transformed = extract(seg_schema.empty_table()).schema
-        base = lake.resolve_target_schema(transformed, base)
-        targets[e] = base
-        n_raw[e] = _epoch_rows(source, source.epoch_files(log_dir, e))
-        lake.wipe_staging(e)
-
-    # ONE staging pass over all pending epochs' files
-    if source is ev:
-        all_files = [f for e in pending for f in ev.epoch_files(log_dir, e)]
-        ds = rd.read_parquet(all_files, partitioning=None)
-    else:
-        ds = source.read_epoch(log_dir, pending[0])
-        for e in pending[1:]:
-            ds = ds.union(source.read_epoch(log_dir, e))
-    kwargs = dict(batch_format="pyarrow")
-    if batch_size:
-        kwargs["batch_size"] = batch_size
-    ds = ds.map_batches(extract, **kwargs)
-    t_stage = _time.perf_counter()
-    stage = lake._stage_writer({e: lake._envelope(t) for e, t in targets.items()})
-    staged = ds.map_batches(stage, batch_format="pyarrow").to_pandas()
-    stage_s = _time.perf_counter() - t_stage
-
-    # ONE merge pass across all pending epochs (each partition task
-    # threads its snapshot through the epoch chain), manifests sequential
-    touched = {}
-    hot_by_epoch = {}
-    if "pid" in staged.columns:
-        from chomper_ray.state.lake import detect_hot_partitions
-
-        for e in pending:
-            se = staged.loc[staged["epoch"] == e]
-            touched[e] = sorted(se["pid"].unique().tolist())
-            hot_by_epoch[e] = detect_hot_partitions(
-                se.groupby("pid")["n"].sum().to_dict(),
-                factor=lake.hot_factor, min_rows=lake.hot_min_rows,
-                warn_context=f"drain epoch {e}")
-    commits = lake.commit_staged_multi([(e, targets[e]) for e in pending],
-                                       touched, stage_s=stage_s)
-    for c in commits:
-        c.hot_partitions = dict(hot_by_epoch.get(c.epoch, {}))
-    by_epoch = {c.epoch: c for c in commits}
-    for e in pending:
-        commit = by_epoch.get(e, CommitResult(epoch=e, skipped=True))
-        res.commits.append(commit)
-        if commit.skipped:
-            res.epochs_skipped.append(e)
-        else:
-            res.epochs_run.append(e)
-            res.events_applied += n_raw[e]
-            if after_commit is not None:
-                after_commit(commit)
-    res.wall_s = _time.perf_counter() - t0
     return res
 
 

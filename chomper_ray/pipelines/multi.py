@@ -40,7 +40,7 @@ import pyarrow.compute as pc
 
 from chomper_ray.pipelines.cdc import CdcRunResult
 from chomper_ray.sources import events as ev
-from chomper_ray.state.lake import LakeTable
+from chomper_ray.state.lake import LakeTable, load_manifest, plan_targets
 
 _MARKER_SCHEMA = pa.schema([
     ("epoch", pa.int64()), ("pid", pa.int32()), ("n", pa.int64()),
@@ -125,17 +125,18 @@ def run_cdc_multi(
             probe = sub.empty_table()
             if spec.transform is not None:
                 probe = spec.transform(probe)
-            target = lake.resolve_target_schema(probe.schema)
-            lake.wipe_staging(epoch)
-            stager = lake._stage_writer({epoch: lake._envelope(target)})
-            plans[name] = (spec.columns, spec.transform, stager, target)
+            head = load_manifest(lake.root)
+            targets = plan_targets(head, {epoch: probe.schema})
+            stager = lake._stage_writer(targets, head)
+            plans[name] = (spec.columns, spec.transform, stager, targets,
+                           head)
 
         plan_items = sorted(plans.items())
 
         def stage_all(batch: pa.Table, _plans=plan_items,
                       epoch=epoch) -> pa.Table:
             outs = []
-            for name, (cols, transform, stager, _t) in _plans:
+            for name, (cols, transform, stager, _t, _h) in _plans:
                 sub = batch.filter(pc.equal(batch["tbl"], name))
                 if sub.num_rows == 0:
                     continue
@@ -169,14 +170,12 @@ def run_cdc_multi(
         stage_s = time.perf_counter() - t_stage
 
         for name in active:
-            _, _, _, target = plans[name]
+            _, _, _, targets, head = plans[name]
             mine = staged[staged["tbl"] == name] if len(staged) else staged
-            pids = sorted(int(p) for p in
-                          mine.loc[mine["pid"] >= 0, "pid"].unique()) \
-                if len(mine) else []
             raw = int(mine["raw"].sum()) if len(mine) else 0
-            commit = lakes[name].commit_staged(epoch, target, pids,
-                                               stage_s=stage_s)
+            commit = lakes[name].commit_staged(lakes[name].staged_epochs(
+                head, targets, mine[mine["pid"] >= 0] if len(mine) else mine,
+                stage_s))[0]
             res = results[name]
             res.commits.append(commit)
             if commit.skipped:

@@ -201,11 +201,13 @@ def apply_changes(
     b = base.copy()
     b["_is_base"] = True
     for c in all_data_cols + ts_cols + [INTERNAL_SEQ, INTERNAL_DELETED]:
-        for df in (b, ch):
+        for df, other in ((b, ch), (ch, b)):
             if c not in df.columns:
-                df[c] = None
+                df[c] = _filler(other.get(c), df.index)
     cols = [key, *all_data_cols, *ts_cols, INTERNAL_SEQ, INTERNAL_DELETED, "_is_base"]
-    both = pd.concat([b[cols], ch[cols]], ignore_index=True)
+    # an empty side takes no part in the result dtypes
+    both = pd.concat([df[cols] for df in (b, ch) if len(df)]
+                     or [b[cols], ch[cols]], ignore_index=True)
     both = both.sort_values([key, version_ts, INTERNAL_SEQ],
                             kind="stable").reset_index(drop=True)
 
@@ -275,6 +277,17 @@ def apply_changes(
         events = _diff_events(old_live, new, key, all_data_cols, ch)
     out = new.drop(columns=["_is_base"]).reset_index()
     return out, events
+
+
+def _filler(like: pd.Series | None, index: pd.Index) -> pd.Series:
+    """An all-null column for the side of the merge that lacks it, in
+    the other side's dtype where that dtype holds nulls natively (float,
+    datetime), else object ``None``. pandas 2.x warns that it will stop
+    skipping all-null columns when it picks a concatenated dtype; with
+    the other side's dtype there is nothing to skip."""
+    if like is not None and like.dtype.kind in "fmM":
+        return pd.Series(None, index=index, dtype=like.dtype)
+    return pd.Series([None] * len(index), index=index, dtype=object)
 
 
 def _diff_events(old_live, new, key, data_cols, ch) -> pd.DataFrame:

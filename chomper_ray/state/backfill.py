@@ -54,6 +54,7 @@ from chomper_ray.state.lake import (
     _commit_manifest_exclusive,
     _conform_snapshot,
     _manifest_path,
+    commit_ts_for,
     committed_epochs,
     load_manifest,
     manifest_has_deltas,
@@ -254,7 +255,7 @@ class LakeBackfill:
             "num_partitions": head.get("num_partitions",
                                        lake.num_partitions),
             "schema": target_json,
-            "commit_ts_us": 1_600_000_000_000_000 + epoch * 1_000_000,
+            "commit_ts_us": commit_ts_for(epoch),
             "partitions": partitions,
             "lineage": lineage,
             "backfill": {"id": self.backfill_id, "out_files": out_files,

@@ -76,8 +76,8 @@ import pyarrow as pa
 from chomper_ray.stages.merge import (BUCKET_COL, INTERNAL_DELETED,
                                       INTERNAL_SEQ, stable_bucket)
 from chomper_ray.state import schema as schema_mod
-from chomper_ray.state.lake import (LakeTable, committed_epochs,
-                                    load_manifest,
+from chomper_ray.state.lake import (LakeTable, commit_ts_for,
+                                    committed_epochs, load_manifest,
                                     materialize_mor_resolved,
                                     plan_commit_diff)
 
@@ -494,8 +494,7 @@ class AggregateLakeTable:
 
     @staticmethod
     def _ts(cid: int) -> pd.Timestamp:
-        return pd.Timestamp(1_600_000_000_000_000 + cid * 1_000_000,
-                            unit="us")
+        return pd.Timestamp(commit_ts_for(cid), unit="us")
 
     def refresh(self) -> LakeTable:
         import ray.data as rd

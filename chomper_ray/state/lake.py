@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +132,19 @@ class CommitResult:
     hot_partitions: dict = field(default_factory=dict)
 
 
+@dataclass
+class StagedEpochs:
+    """One staging pass, ready for ``LakeTable.commit_staged``: the head
+    manifest it was bucketed against, each epoch's target schema in
+    commit order, the partitions each epoch touched, each epoch's hot
+    partitions and the pass's wall."""
+    head: dict | None
+    targets: dict[int, pa.Schema]
+    touched: dict[int, list[int]]
+    hot: dict[int, dict[int, int]] = field(default_factory=dict)
+    stage_s: float = 0.0
+
+
 def detect_hot_partitions(volumes: dict[int, int], *, factor: float = 4.0,
                           min_rows: int = 100_000,
                           warn_context: str | None = None) -> dict[int, int]:
@@ -227,6 +240,19 @@ def _manifest_path(root, epoch: int):
     return root / _MANIFEST_DIR / f"manifest-{epoch:06d}.json"
 
 
+def commit_ts_for(commit_id: int) -> int:
+    """The commit timestamp (µs) of manifest-chain id ``commit_id``:
+    deterministic, so a replayed commit stamps the identical value."""
+    return 1_600_000_000_000_000 + commit_id * 1_000_000
+
+
+def log_cursor(m: dict | None) -> int | None:
+    """The binlog cursor a manifest records. Pre-decoupling manifests
+    have no ``log_epoch`` field: there it is the chain id."""
+    le = (m or {}).get("log_epoch", (m or {}).get("epoch"))
+    return None if le is None else int(le)
+
+
 def _atomic_write_json(path, obj) -> None:
     # atomic publish: tmp+rename on POSIX, single-object put on an
     # object store (state/fs.py) — readers never see a partial manifest
@@ -273,76 +299,77 @@ def load_manifest(root, epoch: int | None = None) -> dict | None:
     return json.loads(fs_read_text(_manifest_path(_as_root(root), epoch)))
 
 
+def plan_targets(head: dict | None,
+                 hints: dict[int, pa.Schema]) -> dict[int, pa.Schema]:
+    """Each epoch's target schema: ``head``'s schema evolved by each
+    epoch's (transformed) segment schema, chained in commit order —
+    exactly what epoch-by-epoch commits resolve (reconcile is
+    order-insensitive, tested). Envelope/bookkeeping columns are
+    ignored."""
+    base = schema_mod.schema_from_json(head["schema"]) if head else None
+    targets = {}
+    for e, hint in hints.items():
+        inc = pa.schema([pa.field(n, t) for n, t in zip(hint.names, hint.types)
+                         if n not in ("op", "seq", "epoch", BUCKET_COL)])
+        targets[e] = base = schema_mod.reconcile(base, inc) \
+            if base is not None else inc
+    return targets
+
+
 class _PartitionMerger:
     """Per-partition copy-on-write merge: one invocation per touched
     bucket, fully vectorized inside.
 
-    A plain callable (not an actor): each task reads its partition's
-    staged change files + previous snapshot, merges, writes the new
-    snapshot + change-event side output to deterministic paths, and
-    returns a one-row lineage table. Deterministic output (sorted by
+    A plain callable (not an actor): each task threads its partition's
+    snapshot through every epoch of the commit plan in order — read the
+    epoch's staged change rows, merge, write the new snapshot +
+    change-event side output to deterministic paths — and returns one
+    lineage row per epoch that touched the partition. One Ray dataset
+    execution covers the whole plan, so a backlog drain pays one driver
+    barrier rather than one per epoch. Deterministic output (sorted by
     key) ⇒ retries produce identical files.
+
+    ``plan``: ``[(log_epoch, commit_id, schema_json, commit_ts_us), ...]``
+    in commit order. The commit id (manifest-chain id) names the output
+    files, unique across the chain even when maintenance commits
+    interleave or a truncate re-feeds the same log epochs.
     """
 
-    def __init__(self, root: str, epoch: int, prev_files: dict[int, str],
-                 schema_json: list[dict], key: str, overwrite: bool,
+    def __init__(self, *, root, staging_root, prev_files: dict[int, str],
+                 plan: list[tuple[int, int, list, int]], key: str,
+                 version_ts: str, overwrite: bool,
                  protected: tuple[str, ...], managed_timestamps: bool,
-                 commit_ts_us: int, collect_changes: bool,
-                 insert_missing: bool = True, staging_root: str | None = None,
-                 version_ts: str = "warc_ts", num_partitions: int = 16,
-                 id_field: str | None = None,
-                 id_starts: dict[int, int] | None = None,
-                 commit_id: int | None = None):
-        self.num_partitions = num_partitions
-        self.id_field = id_field
-        self.id_starts = id_starts or {}
-        # manifest-chain id: names the output snapshot files (unique across
-        # the chain even when maintenance commits interleave or a truncate
-        # re-feeds the same log epochs); defaults to the log epoch
-        self.commit_id = epoch if commit_id is None else commit_id
+                 collect_changes: bool, insert_missing: bool,
+                 num_partitions: int, id_field: str | None = None,
+                 id_starts: dict[int, int] | None = None):
         self.root = root
-        self.staging_root = staging_root or root
-        self.version_ts = version_ts
-        self.epoch = epoch
+        self.staging_root = staging_root
         self.prev_files = prev_files
-        self.schema_json = schema_json
+        self.plan = plan
         self.key = key
+        self.version_ts = version_ts
         self.overwrite = overwrite
         self.protected = protected
         self.managed_timestamps = managed_timestamps
-        self.commit_ts_us = commit_ts_us
         self.collect_changes = collect_changes
         self.insert_missing = insert_missing
-
-    # multi-epoch drain plan: [(log_epoch, commit_id, schema_json,
-    # commit_ts_us), ...] — set by commit_staged_multi; when present, each
-    # partition task threads its snapshot through EVERY pending epoch in
-    # one invocation (one Ray dataset execution for the whole backlog
-    # instead of one per epoch — the per-epoch driver barrier was the
-    # dominant fixed cost in the scaling analysis)
-    epoch_plan: list[tuple[int, int, list, int]] | None = None
+        self.num_partitions = num_partitions
+        self.id_field = id_field
+        self.id_starts = id_starts or {}
 
     def __call__(self, pids: pa.Table) -> pa.Table:
-        if self.epoch_plan is None:
-            out = [self._merge_one(int(p)) for p in pids["pid"].to_pylist()]
-        else:
-            out = []
-            for p in pids["pid"].to_pylist():
-                out.extend(self._merge_chain(int(p)))
-        return pa.concat_tables(out)
+        return pa.concat_tables([row for p in pids["pid"].to_pylist()
+                                 for row in self._merge_chain(int(p))])
 
     def _merge_chain(self, pid: int) -> list[pa.Table]:
         base_tbl = self._load_base(pid,
-                                   schema_mod.schema_from_json(
-                                       self.epoch_plan[0][2]))
+                                   schema_mod.schema_from_json(self.plan[0][2]))
         rows = []
-        for epoch, cid, schema_json, commit_ts_us in self.epoch_plan:
-            changes = self._read_staged(pid, epoch)
+        for step in self.plan:
+            changes = self._read_staged(pid, step[0])
             if changes.num_rows == 0:
                 continue  # epoch didn't touch this partition
-            base_tbl, row = self._merge_step(pid, base_tbl, changes, epoch,
-                                             schema_json, commit_ts_us,
-                                             commit_id=cid)
+            base_tbl, row = self._merge_step(pid, base_tbl, changes, *step)
             rows.append(row)
         return rows
 
@@ -375,22 +402,13 @@ class _PartitionMerger:
                             pa.field("updated_at", pa.timestamp("us"))]
         return pa.schema(base_fields).empty_table()
 
-    def _merge_one(self, pid: int) -> pa.Table:
-        target = schema_mod.schema_from_json(self.schema_json)
-        changes = self._read_staged(pid, self.epoch)
-        _, row = self._merge_step(pid, self._load_base(pid, target), changes,
-                                  self.epoch, self.schema_json,
-                                  self.commit_ts_us, commit_id=self.commit_id)
-        return row
-
     def _merge_step(self, pid: int, base_tbl: pa.Table, changes: pa.Table,
-                    epoch: int, schema_json: list, commit_ts_us: int,
-                    commit_id: int | None = None) -> tuple[pa.Table, pa.Table]:
+                    epoch: int, cid: int, schema_json: list,
+                    commit_ts_us: int) -> tuple[pa.Table, pa.Table]:
         """One epoch's copy-on-write merge for one partition; returns
         ``(new_snapshot_table, lineage_row)`` so a drain can thread the
         snapshot straight into the next epoch without a re-read."""
         t0 = time.perf_counter()
-        cid = epoch if commit_id is None else commit_id
         target = schema_mod.schema_from_json(schema_json)
         root = _as_root(self.root)
         # widen an older snapshot to the evolved schema
@@ -534,13 +552,9 @@ class _MorDeltaWriter(_PartitionMerger):
     computation copy-on-write would have run at commit time.
     """
 
-    def _merge_one(self, pid: int) -> pa.Table:
-        changes = self._read_staged(pid, self.epoch)
-        return self._write_delta(pid, self.epoch, self.commit_id, changes)
-
     def _merge_chain(self, pid: int) -> list[pa.Table]:
         rows = []
-        for epoch, cid, _schema_json, _ts in self.epoch_plan:
+        for epoch, cid, _schema_json, _ts in self.plan:
             changes = self._read_staged(pid, epoch)
             if changes.num_rows == 0:
                 continue  # epoch didn't touch this partition
@@ -1113,20 +1127,7 @@ class LakeTable:
         manifests carry the cursor forward; ``truncate`` resets it (full
         refresh = re-feed from scratch). Pre-decoupling manifests have no
         ``log_epoch`` field: there the two numberings coincide."""
-        m = load_manifest(self.root)
-        if not m:
-            return None
-        le = m.get("log_epoch", m.get("epoch"))
-        return None if le is None else int(le)
-
-    def _alloc_commit_id(self, log_epoch: int) -> int:
-        """Next manifest-chain id for an ingest commit. Deterministic
-        given the observed chain head, so concurrent runners at the same
-        cursor collide on the same manifest path (first-writer-wins); a
-        stale runner always computes an id <= the current head and loses
-        the exclusive create."""
-        last = self.last_committed_epoch()
-        return log_epoch if last is None else max(last + 1, log_epoch)
+        return log_cursor(load_manifest(self.root))
 
     def current_schema(self) -> pa.Schema | None:
         m = load_manifest(self.root)
@@ -1190,25 +1191,12 @@ class LakeTable:
         return f"{acc:016x}"
 
     # -- commit -----------------------------------------------------------
-    def resolve_target_schema(self, incoming: pa.Schema,
-                              base: pa.Schema | None = None) -> pa.Schema:
-        """Evolve ``base`` (default: current lake schema) with an incoming
-        (transformed) segment schema; envelope/bookkeeping columns are
-        ignored. Chaining this per epoch reproduces exactly what
-        sequential commits would resolve — order-insensitive (tested)."""
-        inc = pa.schema(
-            [pa.field(n, t) for n, t in zip(incoming.names, incoming.types)
-             if n not in ("op", "seq", "epoch", BUCKET_COL)])
-        if base is None:
-            base = self.current_schema()
-        return schema_mod.reconcile(base, inc) if base is not None else inc
-
     def _envelope(self, target: pa.Schema) -> pa.Schema:
         return pa.schema(
             [pa.field("op", pa.string()), pa.field("seq", pa.int64())]
             + list(target))
 
-    def _stage_writer(self, envelopes: dict[int, pa.Schema]):
+    def _stage_writer(self, targets: dict[int, pa.Schema], head: dict | None):
         """Phase-A map fn: conform + partial LWW reduce (the combiner —
         a hot key leaves each block at most once, which is the salting
         step) + one uncompressed staging file per touched bucket, written
@@ -1216,10 +1204,18 @@ class LakeTable:
         measured ~2× faster and better-scaling than
         ``groupby().map_groups`` sort-shuffle for text payloads.
         Duplicate staging from retried map tasks is harmless — the merge
-        dedups by (key, version)."""
+        dedups by (key, version).
+
+        Buckets by ``head``'s partition count and wipes each epoch's
+        staging left by a crashed attempt. The map fn returns one
+        ``(epoch, pid, n)`` row per staged bucket run."""
+        self._sync_partitions(head)
+        for e in targets:
+            self.wipe_staging(e)
         key, version, nb = self.key, self.version, self.num_partitions
         staging_base = self._staging_base
-        env_json = {e: schema_mod.schema_to_json(v) for e, v in envelopes.items()}
+        env_json = {e: schema_mod.schema_to_json(self._envelope(t))
+                    for e, t in targets.items()}
 
         def stage(t: pa.Table) -> pa.Table:
             import numpy as np
@@ -1297,22 +1293,35 @@ class LakeTable:
         if fs_exists(stage_root):
             fs_rmtree(stage_root)
 
-    def stage_epoch(self, changes_ds, epoch: int, target: pa.Schema):
-        """Phase A alone: returns (touched_pids, stage_seconds)."""
-        self._sync_partitions()
-        self.wipe_staging(epoch)  # leftovers from a crashed attempt
+    def stage(self, changes_ds, targets: dict[int, pa.Schema],
+              head: dict | None = None) -> StagedEpochs:
+        """Phase A for one epoch or a backlog of them: stage
+        ``changes_ds`` into per-bucket change files. ``targets`` maps
+        each epoch to its target schema, in commit order; with more than
+        one epoch the rows carry an ``epoch`` column. ``head``: the head
+        manifest when the caller has already loaded it."""
+        if head is None:
+            head = load_manifest(self.root)
         t0 = time.perf_counter()
-        stage = self._stage_writer({epoch: self._envelope(target)})
+        stage = self._stage_writer(targets, head)
         staged = changes_ds.map_batches(stage, batch_format="pyarrow").to_pandas()
+        return self.staged_epochs(head, targets, staged,
+                                  time.perf_counter() - t0)
+
+    def staged_epochs(self, head: dict | None, targets: dict[int, pa.Schema],
+                      staged: pd.DataFrame, stage_s: float) -> StagedEpochs:
+        """Collect the stage writer's ``(epoch, pid, n)`` rows into each
+        epoch's touched and hot partitions."""
+        touched, hot = {}, {}
         # an all-empty dataset loses column names through to_pandas
-        pids = sorted(staged["pid"].unique().tolist()) \
-            if "pid" in staged.columns else []
-        volumes = staged.groupby("pid")["n"].sum().to_dict() \
-            if "pid" in staged.columns else {}
-        self._last_hot_partitions = detect_hot_partitions(
-            volumes, factor=self.hot_factor, min_rows=self.hot_min_rows,
-            warn_context=f"epoch {epoch}")
-        return pids, time.perf_counter() - t0
+        if "pid" in staged.columns:
+            for e, se in staged.groupby("epoch"):
+                touched[int(e)] = sorted(int(p) for p in se["pid"].unique())
+                hot[int(e)] = detect_hot_partitions(
+                    se.groupby("pid")["n"].sum().to_dict(),
+                    factor=self.hot_factor, min_rows=self.hot_min_rows,
+                    warn_context=f"epoch {int(e)}")
+        return StagedEpochs(head, dict(targets), touched, hot, stage_s)
 
     def _count_new_keys(self, epoch: int, touched_pids: list[int],
                         prev_files: dict[int, str]) -> dict[int, int]:
@@ -1353,241 +1362,123 @@ class LakeTable:
                  .to_pandas())  # one row per partition — metadata only
         return {int(r.pid): int(r.n_new) for r in stats.itertuples(index=False)}
 
-    def commit_staged(self, epoch: int, target: pa.Schema,
-                      touched_pids: list[int],
-                      commit_ts_us: int | None = None,
-                      stage_s: float = 0.0,
-                      events_in_override: int | None = None,
-                      log_epoch_override: int | None = None) -> CommitResult:
-        """Phase B + atomic manifest for an already-staged epoch.
-        ``epoch`` is the LOG epoch; the manifest lands at an allocated
-        chain id (== log epoch unless maintenance commits interleaved).
+    def commit_staged(self, staged: StagedEpochs, *,
+                      log_epoch: int | None = None) -> list[CommitResult]:
+        """Phase B + one atomic manifest per epoch for a staging pass;
+        returns one ``CommitResult`` per epoch of ``staged.targets``.
+        Every touched partition merges in ONE dataset execution (each
+        partition task threads its snapshot through the ordered epochs
+        in-process), then the manifests land in epoch order. A
+        single-epoch commit is the one-element plan. Each epoch lands at
+        an allocated chain id (== its log epoch unless maintenance
+        commits interleaved), derived from ``staged.head`` alone: a
+        runner whose head went stale collides with the newer manifest
+        and loses the exclusive create.
 
-        ``log_epoch_override``: for ADMINISTRATIVE ingest-like commits
+        Exactly-once: epochs at or below the head's binlog cursor are
+        skipped, and so is the whole plan, before merging, when every
+        manifest it would write already exists. Snapshots land before
+        manifests; a crash between them re-enters from the committed
+        cursor and deterministically overwrites the later snapshots. A
+        manifest lost to a racing runner marks its epoch skipped — the
+        winner wrote identical content — and later manifests still land.
+        ``id_field`` needs each epoch's base for its id offsets, so such
+        a plan commits epoch by epoch.
+
+        ``log_epoch``: for ADMINISTRATIVE ingest-like commits
         (``delete_where``) whose events come from the engine, not the
-        binlog — ``epoch`` is then a chain id and the recorded binlog
-        cursor passes through unchanged so tail polls never skip
-        pending log epochs."""
+        binlog — the plan's epochs are then chain ids, skipped at or
+        below the chain head, and every manifest records ``log_epoch``
+        as the binlog cursor so tail polls never skip pending log
+        epochs."""
         import ray.data as rd
 
+        if self.id_field and len(staged.targets) > 1:
+            out = []
+            for i, e in enumerate(staged.targets):
+                out += self.commit_staged(replace(
+                    staged, targets={e: staged.targets[e]},
+                    head=staged.head if i == 0 else load_manifest(self.root),
+                    stage_s=staged.stage_s if i == 0 else 0.0),
+                    log_epoch=log_epoch)
+            return out
         t0 = time.perf_counter()
-        if log_epoch_override is None:
-            applied = self.last_applied_log_epoch()
-            if applied is not None and epoch <= applied:
-                return CommitResult(epoch=epoch, skipped=True)
-        else:
-            last = self.last_committed_epoch()
-            if last is not None and epoch <= last:
-                return CommitResult(epoch=epoch, skipped=True)
-        self._sync_partitions()
-        cid = self._alloc_commit_id(epoch)
-        if _manifest_path(self.root, cid).exists():
-            return CommitResult(epoch=epoch, commit_id=cid, skipped=True)
-        prev = load_manifest(self.root)
-        prev_files = {int(p): v["file"]
-                      for p, v in (prev or {"partitions": {}})["partitions"].items()}
-        prev_parts = (prev or {}).get("partitions", {})
-        schema_json = schema_mod.schema_to_json(target)
-        if commit_ts_us is None:
-            # deterministic per chain id (replays produce identical timestamps)
-            commit_ts_us = 1_600_000_000_000_000 + cid * 1_000_000
-
+        results = {e: CommitResult(epoch=e, skipped=True,
+                                   hot_partitions=dict(staged.hot.get(e, {})))
+                   for e in staged.targets}
+        prev = staged.head
+        floor = log_cursor(prev) if log_epoch is None \
+            else (prev or {}).get("epoch")
+        plan = [(e, t) for e, t in staged.targets.items()
+                if floor is None or e > floor]
+        # chain ids for the whole plan, allocated once against the head
+        # (deterministic across racing runners at the same cursor — the
+        # per-manifest exclusive create arbitrates)
+        cids: dict[int, int] = {}
+        head_id = (prev or {}).get("epoch")
+        nxt = 0 if head_id is None else head_id + 1
+        for e, _ in plan:
+            cids[e] = nxt = max(nxt, e)
+            results[e].commit_id = nxt
+            nxt += 1
+        if all(_manifest_path(self.root, c).exists() for c in cids.values()):
+            # nothing left to commit, or a racer committed all of it
+            for e in staged.targets:
+                self.wipe_staging(e)
+            return list(results.values())
+        self._sync_partitions(prev)
         if not self.merge_on_read and manifest_has_deltas(prev):
             raise ValueError(
                 f"lake at {self.root} has pending merge-on-read deltas; a "
                 "copy-on-write commit would silently drop them — construct "
                 "with merge_on_read=True or run compact_deltas() first")
+        prev_parts = (prev or {}).get("partitions", {})
+        prev_files = {int(p): v["file"] for p, v in prev_parts.items()}
 
         id_starts: dict[int, int] = {}
         next_max_id = (prev or {}).get("max_id")
-        if self.id_field and touched_pids:
-            counts = self._count_new_keys(epoch, touched_pids, prev_files)
-            acc = int((prev or {}).get("max_id") or 0) + 1
+        touched0 = staged.touched.get(plan[0][0], [])
+        if self.id_field and touched0:  # a one-epoch plan (see above)
+            counts = self._count_new_keys(plan[0][0], touched0, prev_files)
+            acc = int(next_max_id or 0) + 1
             for pid in sorted(counts):
                 id_starts[pid] = acc
                 acc += counts[pid]
             next_max_id = acc - 1
 
-        merger_cls = _MorDeltaWriter if self.merge_on_read else _PartitionMerger
-        merger = merger_cls(
-            _as_root(self.root), epoch, prev_files, schema_json, self.key,
-            self.overwrite, self.protected, self.managed_timestamps,
-            commit_ts_us, self.collect_changes, self.insert_missing,
-            self._staging_base, version_ts=self.version[0],
+        merger = (_MorDeltaWriter if self.merge_on_read else _PartitionMerger)(
+            root=_as_root(self.root), staging_root=self._staging_base,
+            prev_files=prev_files,
+            plan=[(e, cids[e], schema_mod.schema_to_json(t),
+                   commit_ts_for(cids[e])) for e, t in plan],
+            key=self.key, version_ts=self.version[0],
+            overwrite=self.overwrite, protected=self.protected,
+            managed_timestamps=self.managed_timestamps,
+            collect_changes=self.collect_changes,
+            insert_missing=self.insert_missing,
             num_partitions=self.num_partitions,
-            id_field=self.id_field, id_starts=id_starts,
-            commit_id=cid,
-        )
-
-        def merge_partitions(batch: pa.Table, _m=merger) -> pa.Table:
-            return _m(batch)
-
-        if touched_pids:
-            stats = (
-                rd.from_arrow(pa.table({"pid": pa.array(touched_pids,
-                                                        type=pa.int32())}))
-                .repartition(len(touched_pids))
-                .map_batches(merge_partitions, batch_format="pyarrow")
-                .to_pandas()  # ≤ num_partitions rows — driver metadata only
-            )
-        else:  # an empty epoch still commits (cursor advances, no-op data)
-            stats = pd.DataFrame(columns=[
-                "partition_id", "file", "rows", "live_rows", "deleted_rows",
-                "events_in", "change_events", "changes_file", "hash", "wall_s"])
-        merge_s = time.perf_counter() - t0
-        self.wipe_staging(epoch)
-
-        partitions = dict(prev_parts)  # carry forward untouched partitions
-        delta_commits = dict((prev or {}).get("delta_commits") or {})
-        lineage = []
-        for r in stats.itertuples(index=False):
-            if self.merge_on_read:
-                ent = dict(partitions.get(str(r.partition_id))
-                           or {"file": None, "rows": 0, "live_rows": 0,
-                               "hash": "0"})
-                ent["deltas"] = [*ent.get("deltas", []),
-                                 {"file": r.file, "rows": int(r.rows),
-                                  "commit_id": cid, "hash": r.hash}]
-                partitions[str(r.partition_id)] = ent
-            else:
-                partitions[str(r.partition_id)] = {
-                    "file": r.file, "rows": int(r.rows),
-                    "live_rows": int(r.live_rows), "hash": r.hash,
-                }
-            lineage.append({
-                "partition_id": int(r.partition_id), "epoch": epoch,
-                "events_in": int(r.events_in),
-                "rows": int(r.rows), "live_rows": int(r.live_rows),
-                "deleted_rows": int(r.deleted_rows),
-                "change_events": int(r.change_events),
-                "changes_file": r.changes_file or None,
-                "wall_s": float(r.wall_s),
-            })
-
-        wall = stage_s + merge_s
-        manifest = {
-            "epoch": cid,
-            "log_epoch": epoch if log_epoch_override is None
-            else log_epoch_override,
-            "key": self.key,
-            "prev_epoch": (prev or {}).get("epoch"),
-            "num_partitions": self.num_partitions,
-            "schema": schema_json,
-            "commit_ts_us": commit_ts_us,
-            "partitions": partitions,
-            "lineage": lineage,
-            "wall_s": round(wall, 4),
-        }
-        if next_max_id is not None:
-            manifest["max_id"] = int(next_max_id)
-        if self.merge_on_read:
-            delta_commits[str(cid)] = {
-                "schema": schema_json, "commit_ts_us": commit_ts_us,
-                "log_epoch": epoch}
-            manifest["merge_on_read"] = True
-            manifest["delta_commits"] = delta_commits
-        if not _commit_manifest_exclusive(_manifest_path(self.root, cid),
-                                          manifest):
-            # lost the race
-            return CommitResult(epoch=epoch, commit_id=cid, skipped=True)
-        return CommitResult(
-            epoch=epoch, commit_id=cid, skipped=False,
-            partitions_touched=len(stats),
-            rows_upserted=int(stats["events_in"].sum()),
-            rows_deleted=int(stats["deleted_rows"].sum()),
-            # under merge-on-read the live count is unknown until
-            # resolution (read/compact_deltas) — report -1, not a stale sum
-            total_rows=(-1 if self.merge_on_read else
-                        sum(int(v["live_rows"]) for v in partitions.values())),
-            wall_s=wall, stage_s=stage_s, merge_s=merge_s, lineage=lineage,
-        )
-
-    def commit_staged_multi(self, plan: list[tuple[int, pa.Schema]],
-                            touched_by_epoch: dict[int, list[int]],
-                            stage_s: float = 0.0) -> list[CommitResult]:
-        """Drain-mode commit: merge EVERY pending epoch in one dataset
-        execution (each partition task threads its snapshot through the
-        ordered epoch chain in-process), then write the manifests
-        sequentially. Removes the per-epoch driver barrier that dominated
-        fixed cost in the scaling analysis; produces byte-identical
-        snapshots/manifests to sequential commits (the threaded base
-        table IS the written parquet content — tested).
-
-        Exactly-once: snapshots land first, manifests land in epoch
-        order; a crash between them re-enters from the committed cursor
-        and deterministically overwrites the later snapshots.
-        ``id_field`` needs per-epoch id offsets, so it falls back to
-        sequential commits."""
-        import ray.data as rd
-
-        if self.id_field:
-            # one staging job covered every epoch: its wall goes whole on
-            # the first commit (each commit measures its own merge)
-            return [self.commit_staged(e, t, touched_by_epoch.get(e, []),
-                                       stage_s=stage_s if i == 0 else 0.0)
-                    for i, (e, t) in enumerate(plan)]
-        applied = self.last_applied_log_epoch()
-        plan = [(e, t) for e, t in plan
-                if applied is None or e > applied]
-        results = []
-        if not plan:
-            return results
-        t0 = time.perf_counter()
-        self._sync_partitions()
-        prev = load_manifest(self.root)
-        if not self.merge_on_read and manifest_has_deltas(prev):
-            raise ValueError(
-                f"lake at {self.root} has pending merge-on-read deltas; a "
-                "copy-on-write commit would silently drop them — construct "
-                "with merge_on_read=True or run compact_deltas() first")
-        prev_files = {int(p): v["file"]
-                      for p, v in (prev or {"partitions": {}})["partitions"].items()}
-        prev_parts = (prev or {}).get("partitions", {})
-
-        # chain ids for the whole drain, allocated once against the
-        # observed head (deterministic across racing runners at the same
-        # cursor — the per-manifest exclusive create arbitrates)
-        cids: dict[int, int] = {}
-        nxt = self._alloc_commit_id(plan[0][0])
-        for e, _ in plan:
-            nxt = max(nxt, e)
-            cids[e] = nxt
-            nxt += 1
-
-        def ts(e):
-            return 1_600_000_000_000_000 + cids[e] * 1_000_000
-
-        merger_cls = _MorDeltaWriter if self.merge_on_read else _PartitionMerger
-        merger = merger_cls(
-            _as_root(self.root), plan[0][0], prev_files,
-            schema_mod.schema_to_json(plan[0][1]), self.key,
-            self.overwrite, self.protected, self.managed_timestamps,
-            ts(plan[0][0]), self.collect_changes, self.insert_missing,
-            self._staging_base, version_ts=self.version[0],
-            num_partitions=self.num_partitions,
-            commit_id=cids[plan[0][0]],
-        )
-        merger.epoch_plan = [(e, cids[e], schema_mod.schema_to_json(t), ts(e))
-                             for e, t in plan]
+            id_field=self.id_field, id_starts=id_starts)
         all_pids = sorted(set().union(
-            *[set(touched_by_epoch.get(e, [])) for e, _ in plan]))
+            *[staged.touched.get(e, []) for e, _ in plan]))
 
         def merge_partitions(batch: pa.Table, _m=merger) -> pa.Table:
             return _m(batch)
 
-        cols = ["partition_id", "epoch", "file", "rows", "live_rows",
-                "deleted_rows", "events_in", "change_events", "changes_file",
-                "hash", "wall_s"]
         if all_pids:
             stats = (rd.from_arrow(pa.table({"pid": pa.array(
                         all_pids, type=pa.int32())}))
                      .repartition(len(all_pids))
                      .map_batches(merge_partitions, batch_format="pyarrow")
-                     .to_pandas())  # ≤ pids × epochs rows — metadata only
-        else:
-            stats = pd.DataFrame(columns=cols)
+                     .to_pandas()  # ≤ pids × epochs rows — metadata only
+                     # task completion order varies: fix the lineage order
+                     .sort_values(["epoch", "partition_id"]))
+        else:  # an empty epoch still commits (cursor advances, no-op data)
+            stats = pd.DataFrame(columns=[
+                "partition_id", "epoch", "file", "rows", "live_rows",
+                "deleted_rows", "events_in", "change_events",
+                "changes_file", "hash", "wall_s"])
         merge_s = time.perf_counter() - t0
-        for e, _ in plan:
+        for e in staged.targets:
             self.wipe_staging(e)
         # per-epoch timings: the one staging job's wall goes whole on the
         # first epoch; the one merge job's wall is split by each epoch's
@@ -1597,15 +1488,15 @@ class LakeTable:
                  for e, _ in plan]
         if sum(walls) <= 0:
             walls = [1.0] + [0.0] * (len(plan) - 1)
-        timing = {e: (stage_s if i == 0 else 0.0,
-                      merge_s * walls[i] / sum(walls))
-                  for i, (e, _) in enumerate(plan)}
 
-        partitions = dict(prev_parts)
+        partitions = dict(prev_parts)  # carry forward untouched partitions
         delta_commits = dict((prev or {}).get("delta_commits") or {})
-        last_cid = (prev or {}).get("epoch")
-        for e, target in plan:
-            es = stats[stats["epoch"] == e] if len(stats) else stats
+        last_cid = head_id
+        for i, (e, target) in enumerate(plan):
+            cid, schema_json = cids[e], schema_mod.schema_to_json(target)
+            stage_s = staged.stage_s if i == 0 else 0.0
+            e_merge_s = merge_s * walls[i] / sum(walls)
+            es = stats[stats["epoch"] == e]
             lineage = []
             for r in es.itertuples(index=False):
                 if self.merge_on_read:
@@ -1614,8 +1505,7 @@ class LakeTable:
                                    "hash": "0"})
                     ent["deltas"] = [*ent.get("deltas", []),
                                      {"file": r.file, "rows": int(r.rows),
-                                      "commit_id": cids[e],
-                                      "hash": r.hash}]
+                                      "commit_id": cid, "hash": r.hash}]
                     partitions[str(r.partition_id)] = ent
                 else:
                     partitions[str(r.partition_id)] = {
@@ -1632,51 +1522,45 @@ class LakeTable:
                     "wall_s": float(r.wall_s),
                 })
             manifest = {
-                "epoch": cids[e],
-                "log_epoch": e,
+                "epoch": cid,
+                "log_epoch": e if log_epoch is None else log_epoch,
                 "key": self.key,
                 "prev_epoch": last_cid,
                 "num_partitions": self.num_partitions,
-                "schema": schema_mod.schema_to_json(target),
-                "commit_ts_us": ts(e),
+                "schema": schema_json,
+                "commit_ts_us": commit_ts_for(cid),
                 "partitions": dict(partitions),
                 "lineage": lineage,
-                "wall_s": round(sum(timing[e]), 4),
+                "wall_s": round(stage_s + e_merge_s, 4),
             }
+            if next_max_id is not None:
+                manifest["max_id"] = int(next_max_id)
             if self.merge_on_read:
-                delta_commits[str(cids[e])] = {
-                    "schema": schema_mod.schema_to_json(target),
-                    "commit_ts_us": ts(e), "log_epoch": e}
+                delta_commits[str(cid)] = {
+                    "schema": schema_json, "commit_ts_us": commit_ts_for(cid),
+                    "log_epoch": e}
                 manifest["merge_on_read"] = True
                 manifest["delta_commits"] = dict(delta_commits)
-            last_cid = cids[e]  # chain parent for the next manifest
-            if not _commit_manifest_exclusive(
-                    _manifest_path(self.root, cids[e]), manifest):
-                # lost the race to a concurrent runner: epoch already
-                # committed with IDENTICAL content (merges are
-                # deterministic over the same log) — mark skipped and
-                # keep going; later manifests in this chain remain valid
-                results.append(CommitResult(
-                    epoch=e, commit_id=cids[e], skipped=True,
-                    wall_s=sum(timing[e]), stage_s=timing[e][0],
-                    merge_s=timing[e][1]))
-                continue
-            results.append(CommitResult(
-                epoch=e, commit_id=cids[e], skipped=False,
-                partitions_touched=len(es),
-                rows_upserted=int(es["events_in"].sum()) if len(es) else 0,
-                rows_deleted=int(es["deleted_rows"].sum()) if len(es) else 0,
-                total_rows=(-1 if self.merge_on_read else
-                            sum(int(v["live_rows"])
-                                for v in partitions.values())),
-                wall_s=sum(timing[e]), stage_s=timing[e][0],
-                merge_s=timing[e][1],
-                lineage=lineage,
-            ))
-        return results
+            last_cid = cid  # chain parent for the next manifest
+            res = results[e]
+            res.wall_s, res.stage_s, res.merge_s = \
+                stage_s + e_merge_s, stage_s, e_merge_s
+            if not _commit_manifest_exclusive(_manifest_path(self.root, cid),
+                                              manifest):
+                continue  # lost the race: stays skipped
+            res.skipped = False
+            res.partitions_touched = len(es)
+            res.rows_upserted = int(es["events_in"].sum())
+            res.rows_deleted = int(es["deleted_rows"].sum())
+            # under merge-on-read the live count is unknown until
+            # resolution (read/compact_deltas) — report -1, not a stale sum
+            res.total_rows = (-1 if self.merge_on_read else
+                              sum(int(v["live_rows"])
+                                  for v in partitions.values()))
+            res.lineage = lineage
+        return list(results.values())
 
     def commit_epoch(self, changes_ds, epoch: int,
-                     commit_ts_us: int | None = None,
                      schema_hint: pa.Schema | None = None) -> CommitResult:
         """Apply one epoch's (transformed) change events. Exactly-once:
         if ``epoch`` is already in the manifest log this is a no-op.
@@ -1685,19 +1569,15 @@ class LakeTable:
         ``seq``) + data columns; ``html`` should already be dropped /
         ``text`` extracted by the upstream transform chain.
         """
-        applied = self.last_applied_log_epoch()
+        head = load_manifest(self.root)
+        applied = log_cursor(head)
         if applied is not None and epoch <= applied:
             return CommitResult(epoch=epoch, skipped=True)
         if schema_hint is None:
             schema_hint = changes_ds.schema()  # may execute one block
-        target = self.resolve_target_schema(schema_hint)
-        pids, stage_s = self.stage_epoch(changes_ds, epoch, target)
-        commit = self.commit_staged(epoch, target, pids,
-                                    commit_ts_us=commit_ts_us,
-                                    stage_s=stage_s)
-        commit.hot_partitions = dict(
-            getattr(self, "_last_hot_partitions", {}) or {})
-        return commit
+        staged = self.stage(changes_ds, plan_targets(head, {epoch: schema_hint}),
+                            head)
+        return self.commit_staged(staged)[0]
 
     # -- read -------------------------------------------------------------
     def files(self, as_of_epoch: int | None = None) -> list[str]:
@@ -2152,7 +2032,7 @@ class LakeTable:
             "num_partitions": (prev or {}).get("num_partitions",
                                                self.num_partitions),
             "schema": (prev or {}).get("schema", []),
-            "commit_ts_us": 1_600_000_000_000_000 + epoch * 1_000_000,
+            "commit_ts_us": commit_ts_for(epoch),
             "partitions": {},
             "lineage": [],
             "truncated": True,
@@ -2277,7 +2157,7 @@ class LakeTable:
             "num_partitions": prev.get("num_partitions",
                                        self.num_partitions),
             "schema": prev["schema"],
-            "commit_ts_us": 1_600_000_000_000_000 + epoch * 1_000_000,
+            "commit_ts_us": commit_ts_for(epoch),
             "partitions": partitions,
             "lineage": lineage,
             "compacted_delta_partitions": len(stats),
@@ -2398,7 +2278,7 @@ class LakeTable:
             # maintenance commit must never re-declare the layout
             "num_partitions": prev.get("num_partitions", self.num_partitions),
             "schema": prev["schema"],
-            "commit_ts_us": 1_600_000_000_000_000 + epoch * 1_000_000,
+            "commit_ts_us": commit_ts_for(epoch),
             "partitions": partitions,
             "lineage": [],
             "purged_tombstones": int(stats["purged"].sum()),
@@ -2445,7 +2325,6 @@ class LakeTable:
         if _manifest_path(self.root, epoch).exists():
             return CommitResult(epoch=epoch, skipped=True)
         prev = load_manifest(self.root)
-        prev_log = prev.get("log_epoch", prev.get("epoch"))
         target = schema_mod.schema_from_json(prev["schema"])
         key, ver = self.key, self.version[0]
         ver_type = target.field(ver).type
@@ -2462,9 +2341,8 @@ class LakeTable:
 
         changes = (self.read(columns=[key], where=where)
                    .map_batches(mk_deletes, batch_format="pyarrow"))
-        pids, stage_s = self.stage_epoch(changes, epoch, target)
-        return self.commit_staged(epoch, target, pids, stage_s=stage_s,
-                                  log_epoch_override=prev_log)
+        staged = self.stage(changes, {epoch: target}, prev)
+        return self.commit_staged(staged, log_epoch=log_cursor(prev))[0]
 
     def suggest_num_partitions(self, window: int = 5,
                                max_growth: int = 4) -> int:
@@ -2655,7 +2533,7 @@ class LakeTable:
             "prev_epoch": prev.get("epoch"),
             "num_partitions": new_nb,
             "schema": prev["schema"],
-            "commit_ts_us": 1_600_000_000_000_000 + epoch * 1_000_000,
+            "commit_ts_us": commit_ts_for(epoch),
             "partitions": partitions,
             "lineage": lineage,
             "repartitioned_from": old_nb,

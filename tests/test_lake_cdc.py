@@ -147,20 +147,53 @@ def test_num_partitions_layout(change_log, tmp_path):
     assert 1 < len(files) <= 8
 
 
-def test_drain_mode_equals_sequential(change_log, tmp_path):
-    """Backlog-drain (single staging pass over all epochs) must produce
-    the identical final state as sequential per-epoch commits."""
-    seq_root = tmp_path / "seq"
-    run_cdc(change_log, seq_root, num_partitions=4)
-    h_seq = LakeTable(seq_root, num_partitions=4).snapshot_hash()
+def _layout_free(obj):
+    """A manifest without the figures that depend on how the run was
+    executed: measured walls, and ``events_in``, which counts staged
+    rows after the per-block combiner and so follows Ray's read block
+    boundaries (a drain reads bigger blocks than one epoch's read)."""
+    if isinstance(obj, dict):
+        return {k: _layout_free(v) for k, v in obj.items()
+                if k not in ("wall_s", "events_in")}
+    if isinstance(obj, list):
+        return [_layout_free(v) for v in obj]
+    return obj
 
-    drain_root = tmp_path / "drain"
-    res = run_cdc(change_log, drain_root, num_partitions=4, drain=True)
+
+@pytest.mark.parametrize("lake_kwargs", [
+    {}, {"merge_on_read": True, "collect_changes": False}, {"id_field": "id"},
+], ids=["cow", "mor", "id_field"])
+def test_drain_mode_equals_sequential(change_log, tmp_path, lake_kwargs):
+    """Backlog-drain (single staging pass over all epochs) must write the
+    same lake as sequential per-epoch commits: every data file byte for
+    byte, every manifest but its execution-dependent figures."""
+    import json
+
+    seq_root, drain_root = tmp_path / "seq", tmp_path / "drain"
+    run_cdc(change_log, seq_root, num_partitions=4, lake_kwargs=lake_kwargs)
+    res = run_cdc(change_log, drain_root, num_partitions=4, drain=True,
+                  lake_kwargs=lake_kwargs)
     assert res.epochs_run == [0, 1, 2, 3]
-    lake = LakeTable(drain_root, num_partitions=4)
-    assert lake.snapshot_hash() == h_seq
-    # schema evolution resolved identically
-    assert lake.current_schema() == LakeTable(seq_root, num_partitions=4).current_schema()
+
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*")
+                      if p.is_file() and "_staging" not in p.parts)
+
+    assert files(seq_root) == files(drain_root)
+    n_data = 0
+    for rel in files(seq_root):
+        a, b = seq_root / rel, drain_root / rel
+        if rel.parts[0] == "_manifest":
+            assert _layout_free(json.loads(a.read_text())) == \
+                _layout_free(json.loads(b.read_text())), rel
+        else:
+            assert a.read_bytes() == b.read_bytes(), rel
+            n_data += 1
+    assert n_data > 4
+    seq = LakeTable(seq_root, **lake_kwargs)
+    drain = LakeTable(drain_root, **lake_kwargs)
+    assert drain.snapshot_hash() == seq.snapshot_hash()
+    assert drain.current_schema() == seq.current_schema()
 
 
 def test_duplicate_event_delivery_is_idempotent(tmp_path):
@@ -199,6 +232,64 @@ def test_drain_resume_after_partial_crash(change_log, tmp_path):
     run_cdc(change_log, full, num_partitions=4)
     assert LakeTable(root, num_partitions=4).snapshot_hash() == \
         LakeTable(full, num_partitions=4).snapshot_hash()
+
+
+def test_drain_adopts_committed_partition_count(change_log, tmp_path):
+    """A drain constructed without ``num_partitions`` stages with the
+    committed count, not the default: every key lands in one of the
+    lake's 4 partitions and the lake equals a sequential run."""
+    from chomper_ray.state.lake import load_manifest
+
+    root = tmp_path / "lake"
+    run_cdc(change_log, root, num_partitions=4, max_epochs=2)
+    res = run_cdc(change_log, root, drain=True)
+    assert res.epochs_run == [2, 3]
+    assert sorted(load_manifest(root)["partitions"], key=int) == \
+        ["0", "1", "2", "3"]
+    full = tmp_path / "full"
+    run_cdc(change_log, full, num_partitions=4)
+    assert LakeTable(root).snapshot_hash() == LakeTable(full).snapshot_hash()
+
+
+def test_racing_runners_skip_what_the_winner_committed(tmp_path):
+    """Runners that staged against the same head: the later one skips
+    the epochs a racer committed and lands the rest on top; one whose
+    whole plan is committed skips before merging. The lake equals
+    epoch-by-epoch commits."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from chomper_ray.state.lake import plan_targets
+
+    def rows(epoch, n):
+        return [{"op": "insert", "seq": epoch * 100 + i, "epoch": epoch,
+                 "url": f"u{i}", "warc_ts": pd.Timestamp(epoch * 50 + i,
+                                                         unit="s"),
+                 "text": f"t{epoch}-{i}"} for i in range(n)]
+
+    def ds(*epochs):
+        return rd.from_arrow(pa.Table.from_pylist(
+            [r for e in epochs for r in rows(e, 30 - 10 * e)]))
+
+    root = tmp_path / "lake"
+    targets = plan_targets(None, {0: ds(0).schema(), 1: ds(0).schema()})
+    first, second, third = (LakeTable(root, num_partitions=4)
+                            for _ in range(3))
+    staged_first = first.stage(ds(0), {0: targets[0]})
+    staged_second = second.stage(ds(0, 1), targets)
+    staged_third = third.stage(ds(0, 1), targets)
+    assert not first.commit_staged(staged_first)[0].skipped
+    res = second.commit_staged(staged_second)
+    assert [(r.epoch, r.commit_id, r.skipped) for r in res] == \
+        [(0, 0, True), (1, 1, False)]
+    res = third.commit_staged(staged_third)
+    assert [(r.epoch, r.commit_id, r.skipped) for r in res] == \
+        [(0, 0, True), (1, 1, True)]
+
+    clean = LakeTable(tmp_path / "clean", num_partitions=4)
+    clean.commit_epoch(ds(0), 0)
+    clean.commit_epoch(ds(1), 1)
+    assert LakeTable(root).snapshot_hash() == clean.snapshot_hash()
 
 
 def test_exactly_once_under_task_retry(tmp_path):
@@ -342,15 +433,16 @@ def test_staging_file_count_bounded(change_log, tmp_path):
     small-file storm. Verified by counting files mid-stage."""
     from chomper_ray.pipelines.cdc import ExtractText
     from chomper_ray.sources import events as ev2
-    from chomper_ray.state.lake import _staging_range_size
+    from chomper_ray.state.lake import _staging_range_size, plan_targets
 
     lake = LakeTable(tmp_path / "lake", num_partitions=256)
     ds = ev2.read_epoch(change_log, 0).map_batches(
         ExtractText(), batch_format="pyarrow")
     schema_hint = ExtractText()(
         ev2.epoch_schema(change_log, 0).empty_table()).schema
-    target = lake.resolve_target_schema(schema_hint)
-    pids, _ = lake.stage_epoch(ds, 0, target)
+    target = plan_targets(None, {0: schema_hint})[0]
+    staged = lake.stage(ds, {0: target})
+    pids = staged.touched[0]
     files = list((tmp_path / "lake" / "_staging").rglob("*.parquet"))
     n_tasks = len({f.name for f in files})
     # bound: tasks × 64 ranges, NOT tasks × 256 buckets
@@ -358,7 +450,7 @@ def test_staging_file_count_bounded(change_log, tmp_path):
     assert len(pids) > 64  # many buckets touched, through few files
     assert _staging_range_size(256) == 4
     # and the commit over that staging still lands correctly
-    res = lake.commit_staged(0, target, pids)
+    (res,) = lake.commit_staged(staged)
     assert res.partitions_touched == len(pids)
     assert lake.read_pandas()["url"].is_unique
 

@@ -251,3 +251,46 @@ def test_fill_null_overwrites_falsy_like_reference():
     assert snap.loc["b", "text"] == "keep"  # truthy kept
     assert snap.loc["c", "n"] == 4          # null filled
     assert snap.loc["c", "text"] == "fill"
+
+
+@pytest.mark.filterwarnings("error::FutureWarning")
+def test_apply_changes_concat_dtypes_need_no_skipping():
+    """pandas 2.x warns that concat will stop skipping empty and all-null
+    columns when it picks dtypes. The merge gives it none to skip: not
+    on a partition's first commit (empty base), not when a change-only
+    numeric column arrives (schema evolution), not when the change rows
+    lack a column the base has."""
+    base, ev = apply_changes(
+        empty_base(), events([("insert", 0, "a", 1, "x"),
+                              ("insert", 1, "b", 1, "y")]))
+    assert base.sort_values("url")["text"].tolist() == ["x", "y"]
+    assert set(ev["event"]) == {"insert", "change"}
+    managed, _ = apply_changes(
+        empty_base(managed=True), events([("insert", 0, "a", 1, "x")]),
+        managed_timestamps=True, commit_ts=ts(100))
+    assert managed["created_at"].tolist() == [ts(100)]
+
+    ch = events([("update", 2, "a", 2, "x2")]).assign(
+        status=[200.0], seen=[ts(5)])
+    new, ev = apply_changes(base, ch)
+    got = new.set_index("url")
+    assert got.loc["a", "status"] == 200 and pd.isna(got.loc["b", "status"])
+    assert got.loc["a", "seen"] == ts(5) and pd.isna(got.loc["b", "seen"])
+    assert sorted(ev.loc[ev["event"] == "change", "field"]) == \
+        ["seen", "status", "text", "warc_ts"]
+
+    later, _ = apply_changes(new, events([("update", 3, "b", 3, "y2")]))
+    got = later.set_index("url")
+    assert got.loc["b", "text"] == "y2" and got.loc["a", "status"] == 200
+
+
+def test_empty_change_side_keeps_base_dtypes():
+    """An update-only merge (``insert_missing=False``) whose change rows
+    all miss the base leaves nothing on the change side; the base rows
+    keep their dtypes, so an int64 above 2**53 survives exactly."""
+    base, _ = apply_changes(empty_base(), events([("insert", 0, "a", 1, "x")]))
+    base["n"] = pd.Series([2**60 + 3], dtype="int64")
+    ch = events([("update", 1, "zz", 2, "y")]).assign(
+        n=pd.Series([None], dtype="float64"))
+    new, _ = apply_changes(base, ch, insert_missing=False)
+    assert new["n"].tolist() == [2**60 + 3]

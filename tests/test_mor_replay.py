@@ -11,6 +11,8 @@
 - ``lookup(as_of_epoch=e)`` buckets with manifest ``e``'s partition
   count, which a repartition since ``e`` has changed.
 - A drain measures its per-epoch timings instead of dividing them.
+- Every benchmark workload's smoke run agrees with the benchmark's own
+  oracle.
 """
 
 import os
@@ -27,9 +29,10 @@ from hypothesis import given, settings, strategies as st
 
 from chomper_ray.stages.merge import apply_changes
 from chomper_ray.state import lake as lake_mod
-from chomper_ray.state.lake import (LakeTable, _conform_snapshot,
-                                    _replay_step, _snapshot_schema,
-                                    load_manifest, snapshot_content_hash)
+from chomper_ray.state.lake import (LakeTable, StagedEpochs,
+                                    _conform_snapshot, _replay_step,
+                                    _snapshot_schema, load_manifest,
+                                    plan_targets, snapshot_content_hash)
 
 ROOT = Path(__file__).resolve().parents[1]
 MOR_KW = {"merge_on_read": True, "collect_changes": False}
@@ -270,12 +273,12 @@ def test_drain_timings_measured_per_epoch(tmp_path):
         _rows(0, [f"https://example.com/{i}" for i in range(400)])))
     small = rd.from_arrow(pa.Table.from_pylist(
         _rows(1, ["https://example.com/0"])))
-    target = lake.resolve_target_schema(big.schema())
-    touched = {0: lake.stage_epoch(big, 0, target)[0],
-               1: lake.stage_epoch(small, 1, target)[0]}
+    target = plan_targets(None, {0: big.schema()})[0]
+    touched = {**lake.stage(big, {0: target}).touched,
+               **lake.stage(small, {1: target}).touched}
     assert len(touched[0]) == 8 and len(touched[1]) == 1
-    res = lake.commit_staged_multi([(0, target), (1, target)], touched,
-                                   stage_s=1.5)
+    res = lake.commit_staged(StagedEpochs(None, {0: target, 1: target},
+                                          touched, stage_s=1.5))
     assert [r.epoch for r in res] == [0, 1]
     assert [r.stage_s for r in res] == [1.5, 0.0]
     walls = [sum(row["wall_s"] for row in r.lineage) for r in res]
@@ -290,13 +293,17 @@ def test_drain_timings_measured_per_epoch(tmp_path):
 
 # -- the benchmark's oracle in every test run --------------------------------
 
-def test_perfbench_mor_serve_smoke():
-    """One smoke round of the merge-on-read serving workload, checked
-    against the benchmark's own oracle (lookups, the view, the folds and
-    the final read)."""
+@pytest.mark.parametrize("workload",
+                         ["mor_serve", "tail_index", "drain_backlog"])
+def test_perfbench_smoke(workload):
+    """One smoke round of a benchmark workload, checked against the
+    benchmark's own oracle, which replays the generated events without
+    the program: the merge-on-read lookups, view, folds and final read
+    (``mor_serve``), the copy-on-write tail commit with its text-index
+    hook (``tail_index``), and the backlog drain (``drain_backlog``)."""
     env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "mor_serve",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--smoke"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-4000:]
