@@ -38,6 +38,7 @@ exactly-once sink protocol itself is made object-store-expressible.
 """
 from __future__ import annotations
 
+import bisect
 import fnmatch
 import io
 import json
@@ -47,13 +48,15 @@ import uuid
 from pathlib import Path
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 __all__ = [
     "FsPath", "resolve_root", "object_store_test_fs",
     "fs_mkdirs", "fs_exists", "fs_is_dir", "fs_glob", "fs_read_text",
     "fs_write_text_atomic", "fs_publish_json", "fs_put_json_if_absent",
-    "fs_read_table", "fs_publish_table", "fs_parquet_writer",
+    "fs_parquet_file", "fs_read_table", "fs_publish_table",
+    "fs_parquet_writer",
     "fs_rmtree", "fs_unlink", "fs_read_bytes", "fs_publish_bytes",
     "fs_copy_file", "require_local_lake_root",
 ]
@@ -499,16 +502,97 @@ def fs_put_json_if_absent(p, obj) -> bool:
         tmp.unlink(missing_ok=True)
 
 
-def fs_read_schema(p):
+def fs_parquet_file(p) -> pq.ParquetFile:
+    """Open one Parquet file: the footer is parsed once and column
+    chunks are pre-buffered (coalesced reads), with pyarrow's default
+    read threads. Every lake Parquet read opens through here; close it
+    (``with``) when done."""
     if _is_fsp(p):
-        return pq.read_schema(p.key, filesystem=p.fs)
-    return pq.read_schema(p)
+        return pq.ParquetFile(p.key, filesystem=p.fs, pre_buffer=True)
+    return pq.ParquetFile(str(p), pre_buffer=True)
 
 
-def fs_read_table(p, **kw) -> pa.Table:
-    if _is_fsp(p):
-        return pq.read_table(p.key, filesystem=p.fs, **kw)
-    return pq.read_table(p, **kw)
+def fs_read_table(p, columns=None, filters=None) -> pa.Table:
+    """Read one Parquet file (a lake path, or a ``ParquetFile`` the
+    caller opened and closes), optionally column-projected and
+    key-filtered. Same table as pyarrow's dataset-backed
+    ``read_table`` with the same arguments, for the two filter forms
+    the engine passes, ``[(col, "=", v)]`` and ``[(col, "in", vals)]``,
+    without building a dataset per file: row groups whose
+    min/max statistics exclude every value are skipped, then an exact
+    mask keeps the matching rows (null cells never match a non-null
+    value). A column the file lacks raises ``KeyError``; any other
+    filter form raises ``ValueError``."""
+    if not isinstance(p, pq.ParquetFile):
+        with fs_parquet_file(p) as pf:
+            return fs_read_table(pf, columns, filters)
+    names = p.schema_arrow.names
+    missing = [c for c in (columns or ()) if c not in names]
+    if missing:
+        raise KeyError(f"column(s) {missing} not in the file "
+                       f"(it has {names})")
+    if filters is None:
+        tbl = p.read(columns=columns)
+    else:
+        col, vals, is_eq = _parse_filter(filters, names)
+        typ = p.schema_arrow.field(col).type
+        read_cols = columns
+        if columns is not None and col not in columns:
+            read_cols = [*columns, col]
+        tbl = p.read_row_groups(_row_groups_matching(p, col, vals),
+                                columns=read_cols)
+        if is_eq:
+            mask = pc.equal(tbl[col], pa.scalar(vals[0], type=typ))
+        else:
+            mask = pc.is_in(tbl[col], value_set=pa.array(vals, type=typ))
+        tbl = tbl.filter(mask)
+    if columns is not None and tbl.column_names != list(columns):
+        tbl = tbl.select(list(columns))
+    return tbl
+
+
+def _parse_filter(filters, names):
+    """``[(col, "=", v)]`` -> (col, [v], True); ``[(col, "in", vals)]``
+    -> (col, list(vals), False). Anything else is refused."""
+    if not (isinstance(filters, list) and len(filters) == 1
+            and isinstance(filters[0], tuple) and len(filters[0]) == 3
+            and filters[0][1] in ("=", "in")):
+        raise ValueError(
+            f"unsupported filter {filters!r}: fs_read_table takes only "
+            "[(col, '=', value)] or [(col, 'in', values)]")
+    col, op, val = filters[0]
+    if col not in names:
+        raise KeyError(f"filter column {col!r} not in the file "
+                       f"(it has {names})")
+    if op == "=":
+        return col, [val], True
+    if isinstance(val, (str, bytes)) or not hasattr(val, "__iter__"):
+        raise ValueError(f"'in' filter on {col!r} needs a collection of "
+                         f"values, got {val!r}")
+    return col, list(val), False
+
+
+def _row_groups_matching(pf: pq.ParquetFile, col: str, vals) -> list:
+    """Indices of the row groups whose min/max statistics on ``col``
+    admit at least one of ``vals``. A row group without statistics is
+    kept (the exact mask decides), and so is every row group when a
+    value is null (``in`` then matches the null cells)."""
+    md = pf.metadata
+    every = range(md.num_row_groups)
+    if any(v is None for v in vals):
+        return list(every)
+    leaf = next(j for j in range(md.num_columns)
+                if md.schema.column(j).path == col)
+    wanted = sorted(set(vals))
+    keep = []
+    for i in every:
+        st = md.row_group(i).column(leaf).statistics
+        if st is not None and st.has_min_max:
+            j = bisect.bisect_left(wanted, st.min)
+            if j == len(wanted) or wanted[j] > st.max:
+                continue
+        keep.append(i)
+    return keep
 
 
 def fs_publish_table(tbl: pa.Table, p, **kw) -> None:

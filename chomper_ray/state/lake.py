@@ -62,7 +62,7 @@ from chomper_ray.state.fs import (
     fs_publish_json,
     fs_publish_table,
     fs_put_json_if_absent,
-    fs_read_schema,
+    fs_parquet_file,
     fs_rglob,
     fs_read_table,
     fs_read_text,
@@ -661,61 +661,53 @@ def _resolve_mor_pid(root: str | Path, part: dict, delta_commits: dict,
             return schema
         return pa.schema([f for f in schema if f.name in needed])
 
-    key_set = None
+    # push the key restriction into each file read: row groups whose
+    # key stats exclude the wanted set never decode, and the read's
+    # exact mask keeps only the wanted keys. Bounded so a drain-sized
+    # key set doesn't pay a giant stats probe — past that each file is
+    # read whole and masked here.
+    filters = key_set = None
     if isinstance(key_filter, pa.ChunkedArray):
         key_set = key_filter.combine_chunks()
     elif isinstance(key_filter, pa.Array):
         key_set = key_filter
     elif isinstance(key_filter, (list, tuple, np.ndarray)):
         key_set = pa.array(key_filter)
+    if key_set is not None:
+        if len(key_set) <= 10_000:
+            filters = [(key, "in", key_set.to_pylist())]
+    elif key_filter is not None:
+        filters = [(key, "=", key_filter)]
 
-    def key_mask(arr):
-        if key_set is not None:
-            return pc.is_in(arr, value_set=key_set)
-        return pc.equal(arr, key_filter)
+    def read(rel: str, wanted) -> pa.Table:
+        # one open per file: its own schema prunes ``wanted`` to the
+        # columns this file has (older files predate evolved columns)
+        with fs_parquet_file(root / rel) as pf:
+            cols = None
+            if needed is not None:
+                avail = set(pf.schema_arrow.names)
+                cols = [c for c in wanted if c in avail]
+            tbl = fs_read_table(pf, columns=cols, filters=filters)
+        if key_set is not None and filters is None:
+            tbl = tbl.filter(pc.is_in(tbl[key], value_set=key_set))
+        return tbl
 
     base_file = part.get("file")
     if base_file:
-        base_cols = None
-        if needed is not None:
-            avail = set(fs_read_schema(root / base_file).names)
-            base_cols = [c for c in [*sorted(needed),
-                                     INTERNAL_SEQ, INTERNAL_DELETED,
-                                     *(('created_at', 'updated_at')
-                                       if managed else ())]
-                         if c in avail]
-        # push the key restriction into the parquet scan: row groups
-        # whose key stats exclude the wanted set never decode (the
-        # post-read key_mask below stays as the exactness guarantee).
-        # Bounded so a drain-sized key set doesn't build a giant
-        # filter expression — past that the full read + mask wins.
-        base_filters = None
-        if key_filter is not None:
-            vals = (key_set.to_pylist() if key_set is not None
-                    else [key_filter])
-            if len(vals) <= 10_000:
-                base_filters = [(key, "in", vals)]
-        base_tbl = fs_read_table(root / base_file, columns=base_cols,
-                                 filters=base_filters)
+        base_tbl = read(base_file, [*sorted(needed or ()), INTERNAL_SEQ,
+                                    INTERNAL_DELETED,
+                                    *(('created_at', 'updated_at')
+                                      if managed else ())])
     elif deltas:
         base_tbl = _snapshot_schema(prune(targets[deltas[0]["commit_id"]]),
                                     managed).empty_table()
     else:
         return None
-    if key_filter is not None:
-        base_tbl = base_tbl.filter(key_mask(base_tbl[key]))
     for d in deltas:
         cid = d["commit_id"]
         dc = delta_commits[str(cid)]
         target = prune(targets[cid])
-        ch_cols = None
-        if needed is not None:
-            avail = set(fs_read_schema(root / d["file"]).names)
-            ch_cols = [c for c in ["op", "seq", *sorted(needed)]
-                       if c in avail]
-        changes = fs_read_table(root / d["file"], columns=ch_cols)
-        if key_filter is not None:
-            changes = changes.filter(key_mask(changes[key]))
+        changes = read(d["file"], ["op", "seq", *sorted(needed or ())])
         base_tbl = _replay_step(
             base_tbl, changes, target, key=key, version_ts=version_ts,
             overwrite=overwrite, protected=protected, managed=managed,
@@ -1839,27 +1831,37 @@ class LakeTable:
         part = m["partitions"].get(str(pid))
         if part is None:
             return pd.DataFrame()
-        if part.get("deltas"):
-            # merge-on-read: replay this key's rows through the pending
-            # deltas (base + deltas filtered to the key first — exact,
-            # merges are per-key independent). Still O(one partition's
-            # files), no scan.
-            tbl = _resolve_mor_pid(
-                self.root, part, m.get("delta_commits", {}),
-                columns=columns, key_filter=key_value, **self._mor_kwargs())
-        else:
-            read_cols = columns
-            if read_cols is not None:
-                read_cols = list({*read_cols, self.key, INTERNAL_DELETED})
-            tbl = fs_read_table(self.root / part["file"], columns=read_cols)
-            tbl = tbl.filter(pc.equal(tbl[self.key], key_value))
-        df = tbl.to_pandas()
-        df = df[~df[INTERNAL_DELETED]]
-        if columns is not None:
-            df = df[[c for c in columns]]
-        else:
-            df = df.drop(columns=[c for c in INTERNAL_COLS if c in df.columns])
-        return df.reset_index(drop=True)
+        # the key's rows of the one partition: the base read with the key
+        # pushed down, then (merge-on-read) replayed through the pending
+        # deltas, filtered to the key first — exact, merges are per-key
+        # independent. Still O(one partition's files), no scan.
+        tbl = _resolve_mor_pid(
+            self.root, part, m.get("delta_commits", {}),
+            columns=columns, key_filter=key_value, **self._mor_kwargs())
+        if tbl is None:
+            return pd.DataFrame()
+        # drop tombstones, conform to the manifest's schema (a partition
+        # no commit touched since an evolution lacks the new columns,
+        # which read as null) and pick columns, all in Arrow; then
+        # convert the (usually one-row) answer to pandas once
+        tbl = tbl.filter(pc.invert(tbl[INTERNAL_DELETED]))
+        names = [f["name"] for f in m["schema"]]
+        want = names if columns is None else list(columns)
+        absent = [c for c in dict.fromkeys(want)
+                  if c not in tbl.column_names]
+        if absent:
+            target = schema_mod.schema_from_json(m["schema"])
+            unknown = [c for c in absent if c not in names]
+            if unknown:
+                raise KeyError(f"column(s) {unknown} not in the lake schema "
+                               f"{names}")
+            for c in absent:
+                tbl = tbl.append_column(target.field(c), pa.nulls(
+                    tbl.num_rows, type=target.field(c).type))
+        if columns is None:
+            want = names + [c for c in tbl.column_names
+                            if c not in names and c not in INTERNAL_COLS]
+        return tbl.select(want).to_pandas().reset_index(drop=True)
 
     def read_pandas(self, **kw) -> pd.DataFrame:
         """Small-table convenience for tests: full snapshot as pandas.

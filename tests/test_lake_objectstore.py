@@ -22,6 +22,7 @@ from chomper_ray.sources import events as ev
 from chomper_ray.state.fs import (FsPath, fs_put_json_if_absent,
                                   fs_read_text, object_store_test_fs)
 from chomper_ray.state.lake import LakeTable, load_manifest
+from tests.test_lookup import assert_lookup_identity_matrix
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,13 @@ def test_flagship_cdc_on_object_store(tmp_path, change_log, ray_session):
     # change-events feed streams from the store
     assert obj.change_events_ds().count() == \
         loc.change_events_ds().count()
+
+
+@pytest.mark.parametrize("kind", ["cow", "mor"])
+def test_lookup_identity_matrix_on_object_store(tmp_path, kind):
+    """Every key's lookup equals its ``read_pandas()`` row on a store
+    root too, through chain depths 0-2, an evolution and time travel."""
+    assert_lookup_identity_matrix(mk_fs_root(tmp_path), kind)
 
 
 def test_mor_commit_and_compaction_on_object_store(tmp_path, change_log,

@@ -1,0 +1,249 @@
+"""Point lookups and the Parquet read helper under them.
+
+- ``fs_read_table`` returns what ``pq.read_table`` returns for every
+  (columns, filters) form the engine passes, on a POSIX path and on an
+  object-store root, and refuses any other filter form and any column
+  the file lacks.
+- A lookup opens each file it needs once: one for a copy-on-write
+  partition, base plus one per delta for a merge-on-read partition.
+- ``lookup(k)`` is frame-equal to ``k``'s row of ``read_pandas()`` on
+  both storage kinds, at merge-on-read chain depths 0, 1 and 2, across
+  an evolution, tombstones, never-written keys, ``columns=`` and
+  ``as_of_epoch``; an unknown column raises ``KeyError`` on both kinds.
+"""
+
+import math
+import tempfile
+from pathlib import Path
+
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray.data as rd
+from hypothesis import given, settings, strategies as st
+
+from chomper_ray.state import fs as fs_mod
+from chomper_ray.state import lake as lake_mod
+from chomper_ray.state.fs import (FsPath, fs_publish_table, fs_read_table,
+                                  object_store_test_fs)
+from chomper_ray.state.lake import LakeTable, load_manifest
+
+MOR_KW = {"merge_on_read": True, "collect_changes": False}
+COW_KW = {"collect_changes": False}
+
+# -- fs_read_table against pq.read_table -------------------------------------
+
+_KEYS = [f"k{i:02d}" for i in range(12)]
+_key = st.one_of(st.none(), st.sampled_from(_KEYS))
+_rows = st.lists(st.tuples(_key, st.one_of(st.none(), st.integers(-5, 5)),
+                           st.one_of(st.none(), st.floats(-1, 1))),
+                 max_size=40)
+_value = st.one_of(st.sampled_from(_KEYS + ["zz"]), st.none())
+_columns = st.sampled_from([None, ["k"], ["v"], ["s", "k"], ["n", "v", "s"]])
+# in-lists up to the 10k values the merge-on-read resolver pushes down;
+# a long list is mostly keys no row has. (An all-null list is left out:
+# pq.read_table itself raises on its null-typed value set.)
+_in_list = st.one_of(
+    st.lists(_value, min_size=1, max_size=8).filter(
+        lambda vs: any(v is not None for v in vs)),
+    st.integers(1, 10_000).map(
+        lambda n: [f"k{i:02d}" if i < 12 else f"x{i}" for i in range(n)]))
+_filters = st.one_of(
+    st.none(),
+    _value.map(lambda v: [("k", "=", v)]),
+    _in_list.map(lambda vs: [("k", "in", vs)]),
+    st.integers(-6, 6).map(lambda v: [("n", "=", v)]),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=5).map(
+        lambda vs: [("n", "in", vs)]))
+
+
+def _table(rows) -> pa.Table:
+    return pa.table({
+        "k": pa.array([r[0] for r in rows], type=pa.string()),
+        "n": pa.array([r[1] for r in rows], type=pa.int64()),
+        "v": pa.array([r[2] for r in rows], type=pa.float64()),
+        "s": pa.array([f"s{i}" for i in range(len(rows))], type=pa.string()),
+    }).replace_schema_metadata({"origin": "test"})
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_rows, n_groups=st.integers(1, 4), stats=st.booleans(),
+       store=st.booleans(), columns=_columns, filters=_filters)
+def test_read_table_matches_pq_read_table(rows, n_groups, stats, store,
+                                          columns, filters):
+    """1-4 row groups, with and without statistics, null and repeated
+    keys: the helper's table equals ``pq.read_table``'s, metadata
+    included, on a POSIX path and on an object-store root."""
+    tbl = _table(rows)
+    rg = max(1, math.ceil(len(rows) / n_groups))
+    with tempfile.TemporaryDirectory() as d:
+        if store:
+            fs = object_store_test_fs(d)
+            p = FsPath(fs, "lake/f.parquet")
+            fs_publish_table(tbl, p, row_group_size=rg,
+                             write_statistics=stats)
+            want = pq.read_table(p.key, filesystem=fs, columns=columns,
+                                 filters=filters)
+        else:
+            p = Path(d) / "f.parquet"
+            pq.write_table(tbl, p, row_group_size=rg,
+                           write_statistics=stats)
+            want = pq.read_table(p, columns=columns, filters=filters)
+        got = fs_read_table(p, columns=columns, filters=filters)
+    assert got.equals(want, check_metadata=True), (got, want)
+
+
+def test_read_table_prunes_row_groups_by_statistics(tmp_path, monkeypatch):
+    p = tmp_path / "f.parquet"
+    pq.write_table(_table([(k, 0, 0.0) for k in _KEYS]), p, row_group_size=3)
+    read = []
+    orig = pq.ParquetFile.read_row_groups
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups",
+                        lambda self, rgs, **kw: read.append(list(rgs))
+                        or orig(self, rgs, **kw))
+    assert fs_read_table(p, filters=[("k", "=", "k04")])["k"].to_pylist() \
+        == ["k04"]
+    assert fs_read_table(p, filters=[("k", "in", ["k00", "k11"])]) \
+        .num_rows == 2
+    assert read == [[1], [0, 3]]
+
+
+@pytest.mark.parametrize("filters", [
+    [("k", "<", "k01")], [("k", "==", "k01")], [[("k", "=", "k01")]],
+    [("k", "=", "k01"), ("n", "=", 0)], ("k", "=", "k01"),
+    [("k", "in", "k01")], [("k", "in", 3)]])
+def test_read_table_refuses_other_filter_forms(tmp_path, filters):
+    p = tmp_path / "f.parquet"
+    pq.write_table(_table([("k01", 0, 0.0)]), p)
+    with pytest.raises(ValueError, match="unsupported filter|'in' filter"):
+        fs_read_table(p, filters=filters)
+
+
+def test_read_table_refuses_unknown_columns(tmp_path):
+    p = tmp_path / "f.parquet"
+    pq.write_table(_table([("k01", 0, 0.0)]), p)
+    with pytest.raises(KeyError, match="zzz"):
+        fs_read_table(p, columns=["k", "zzz"])
+    with pytest.raises(KeyError, match="zzz"):
+        fs_read_table(p, filters=[("zzz", "=", 1)])
+
+
+# -- lakes ---------------------------------------------------------------------
+
+URLS = [f"https://example.com/{i}" for i in range(30)]
+NEVER = [f"https://example.com/never/{i}" for i in range(3)]
+
+
+def _events(epoch: int, urls: list[str], op: str = "upsert",
+            extra: bool = False) -> list[dict]:
+    out = []
+    for i, u in enumerate(urls):
+        r = {"op": op, "seq": epoch * 1000 + i, "url": u,
+             "warc_ts": pd.Timestamp(100 + epoch, unit="s"),
+             "lang": f"l{epoch}", "score": float(i)}
+        if extra:
+            r["extra"] = f"x{epoch}-{i}"
+        out.append(r)
+    return out
+
+
+# epoch 1 deletes and adds keys; epoch 2 evolves the schema ("extra") on
+# a few partitions only, deletes one key and re-inserts a deleted one
+EPOCHS = [
+    _events(0, URLS[:24]),
+    _events(1, URLS[::3]) + _events(1, URLS[1:5], "delete")
+    + _events(1, URLS[24:26]),
+    _events(2, URLS[2:4] + URLS[26:27], extra=True)
+    + _events(2, [URLS[7]], "delete") + _events(2, [URLS[1]], extra=True),
+]
+
+
+def _commit(lake, epoch: int) -> None:
+    lake.commit_epoch(rd.from_arrow(pa.Table.from_pylist(EPOCHS[epoch])),
+                      epoch)
+
+
+def _max_depth(lake) -> int:
+    parts = load_manifest(lake.root)["partitions"].values()
+    return max(len(p.get("deltas", [])) for p in parts)
+
+
+def _assert_lookups_equal_rows(lake, want: pd.DataFrame, as_of=None):
+    colsets = [["lang"], ["score", "url"]]
+    if "extra" in want.columns:
+        colsets.append(["extra", "lang"])
+    for u in URLS + NEVER:
+        row = want[want["url"] == u].reset_index(drop=True)
+        got = lake.lookup(u, as_of_epoch=as_of)
+        pd.testing.assert_frame_equal(got, row, obj=u)
+        assert isinstance(got.index, pd.RangeIndex)
+        for cols in colsets:
+            pd.testing.assert_frame_equal(
+                lake.lookup(u, columns=cols, as_of_epoch=as_of), row[cols],
+                obj=f"{u} {cols}")
+
+
+def assert_lookup_identity_matrix(root, kind: str) -> None:
+    """Build a lake of ``kind`` under ``root`` commit by commit and check
+    every key's lookup against ``read_pandas()`` after each commit, then
+    every earlier head through ``as_of_epoch``."""
+    mor = kind == "mor"
+    lake = LakeTable(root, key="url", num_partitions=4,
+                     **(MOR_KW if mor else COW_KW))
+    heads = []
+    for e in range(len(EPOCHS)):
+        _commit(lake, e)
+        if mor and e == 0:
+            lake.compact_deltas()
+        if mor:
+            assert _max_depth(lake) == e
+        want = lake.read_pandas()
+        assert ("extra" in want.columns) == (e == 2)
+        _assert_lookups_equal_rows(lake, want)
+        heads.append((lake.last_committed_epoch(), want))
+    for head, want in heads[:-1]:
+        _assert_lookups_equal_rows(lake, want, as_of=head)
+
+
+@pytest.mark.parametrize("kind", ["cow", "mor"])
+def test_lookup_equals_read_pandas_row(tmp_path, kind):
+    assert_lookup_identity_matrix(tmp_path / "lake", kind)
+
+
+@pytest.mark.parametrize("kind", ["cow", "mor"])
+def test_lookup_unknown_column_raises_key_error(tmp_path, kind):
+    lake = LakeTable(tmp_path / "lake", key="url", num_partitions=2,
+                     **(MOR_KW if kind == "mor" else COW_KW))
+    _commit(lake, 0)
+    with pytest.raises(KeyError, match="zzz"):
+        lake.lookup(URLS[0], columns=["lang", "zzz"])
+
+
+@pytest.mark.parametrize("kind", ["cow", "mor"])
+def test_lookup_opens_each_file_once(tmp_path, monkeypatch, kind):
+    """Copy-on-write: the one snapshot. Merge-on-read at chain depth 2:
+    the base and the two deltas, with or without ``columns=``."""
+    mor = kind == "mor"
+    lake = LakeTable(tmp_path / "lake", key="url", num_partitions=1,
+                     **(MOR_KW if mor else COW_KW))
+    _commit(lake, 0)
+    if mor:
+        lake.compact_deltas()
+    _commit(lake, 1)
+    _commit(lake, 2)
+    assert _max_depth(lake) == (2 if mor else 0)
+    opened = []
+    orig = fs_mod.fs_parquet_file
+
+    def counting(p):
+        opened.append(str(p))
+        return orig(p)
+
+    monkeypatch.setattr(fs_mod, "fs_parquet_file", counting)
+    monkeypatch.setattr(lake_mod, "fs_parquet_file", counting)
+    for columns in (None, ["lang"]):
+        opened.clear()
+        assert len(lake.lookup(URLS[0], columns=columns)) == 1
+        assert len(opened) == (3 if mor else 1), opened
+        assert len(set(opened)) == len(opened)
