@@ -39,13 +39,52 @@ def stable_bucket(values, num_buckets: int) -> np.ndarray:
     Uses pandas' vectorized siphash (fixed key) — NOT Python ``hash()``,
     which is salted per process and would mis-route rows across retries
     and cluster nodes.
+
+    String and bytes arrays (nulls allowed) hash each distinct value
+    once, found by Arrow's ``dictionary_encode``, and take the hashes
+    back by index: the categorized hash, without pandas' factorize. That
+    factorize compares ``str`` objects as C strings, so it merged two
+    strings that differ only after an embedded NUL and hashed both as
+    the first one seen; Arrow compares full lengths, so every string
+    routes by its own value, whatever else its array holds. Other
+    arrays keep the categorized hash.
     """
     if isinstance(values, (pa.Array, pa.ChunkedArray)):
+        if _is_text(values.type):
+            return _bucket_text(values, num_buckets)
         values = values.to_pandas().to_numpy()
     arr = np.asarray(values)
     if arr.dtype.kind not in ("i", "u"):
         arr = arr.astype(object)
+        kind = pd.api.types.infer_dtype(arr, skipna=True)
+        if kind in ("string", "bytes"):
+            typ = pa.string() if kind == "string" else pa.binary()
+            return _bucket_text(pa.array(arr, typ, from_pandas=True),
+                                num_buckets)
     return (pd.util.hash_array(arr) % num_buckets).astype(np.int32)
+
+
+def _is_text(typ: pa.DataType) -> bool:
+    return (pa.types.is_string(typ) or pa.types.is_large_string(typ)
+            or pa.types.is_binary(typ) or pa.types.is_large_binary(typ))
+
+
+def _bucket_text(arr, num_buckets: int) -> np.ndarray:
+    """``stable_bucket`` of a string/binary Arrow array: the categorized
+    hash of each distinct value, null cells at pandas' null hash."""
+    if isinstance(arr, pa.ChunkedArray):
+        return np.concatenate([_bucket_text(c, num_buckets)
+                               for c in arr.chunks] + [np.zeros(0, np.int32)])
+    enc = arr.dictionary_encode()
+    hashed = pd.util.hash_array(
+        enc.dictionary.to_numpy(zero_copy_only=False), categorize=False)
+    if arr.null_count:
+        out = np.full(len(arr), np.iinfo(np.uint64).max, np.uint64)
+        out[arr.is_valid().to_numpy(zero_copy_only=False)] = \
+            hashed.take(enc.indices.drop_null().to_numpy())
+    else:
+        out = hashed.take(enc.indices.to_numpy())
+    return (out % num_buckets).astype(np.int32)
 
 
 def add_bucket(table: pa.Table, key: str, num_buckets: int,

@@ -210,7 +210,7 @@ class LakeBackfill:
                 merged = _conform_snapshot(merged, tgt_s, managed,
                                            id_field)
                 new_rel = f"{_DATA_DIR}/p={pid:05d}/snap-{epoch:06d}b.parquet"
-                fs_publish_table(merged, root / new_rel)
+                fs_publish_table(merged, root / new_rel, key=key)
                 h = snapshot_content_hash(merged.to_pandas(), key)
                 live = int(pa.compute.sum(pa.compute.invert(
                     merged[INTERNAL_DELETED])).as_py() or 0)

@@ -57,7 +57,8 @@ __all__ = [
     "fs_write_text_atomic", "fs_publish_json", "fs_put_json_if_absent",
     "fs_parquet_file", "fs_read_table", "fs_publish_table",
     "fs_parquet_writer",
-    "fs_rmtree", "fs_unlink", "fs_read_bytes", "fs_publish_bytes",
+    "fs_rmtree", "fs_rmdir_if_empty", "fs_unlink", "fs_read_bytes",
+    "fs_publish_bytes",
     "fs_copy_file", "require_local_lake_root",
 ]
 
@@ -595,9 +596,58 @@ def _row_groups_matching(pf: pq.ParquetFile, col: str, vals) -> list:
     return keep
 
 
-def fs_publish_table(tbl: pa.Table, p, **kw) -> None:
-    """Atomic parquet publish (same visibility contract as
-    ``fs_publish_bytes``)."""
+_PAYLOAD_TYPES = (pa.string(), pa.large_string(), pa.binary(),
+                  pa.large_binary())
+
+
+def _leaf_paths(name: str, typ: pa.DataType):
+    """Parquet column paths of one Arrow field, as the writer names
+    them (compliant nested types)."""
+    if pa.types.is_struct(typ):
+        for f in typ:
+            yield from _leaf_paths(f"{name}.{f.name}", f.type)
+    elif pa.types.is_map(typ):
+        yield from _leaf_paths(f"{name}.key_value.key", typ.key_type)
+        yield from _leaf_paths(f"{name}.key_value.value", typ.item_type)
+    elif (pa.types.is_list(typ) or pa.types.is_large_list(typ)
+          or pa.types.is_fixed_size_list(typ)):
+        yield from _leaf_paths(f"{name}.list.element", typ.value_type)
+    else:
+        yield name
+
+
+def _lake_write_options(schema: pa.Schema, key: str) -> dict:
+    """The lake's file-format rule. A payload column (string or binary,
+    not the key) is zstd level 3 without statistics: it is most of a
+    file's bytes, and no read prunes on it. Every other column keeps
+    snappy and its min/max statistics; the key's drive
+    ``fs_read_table``'s row-group pruning."""
+    if key not in schema.names:
+        raise KeyError(f"key column {key!r} not in {schema.names}")
+    compression, level, stats = {}, {}, []
+    for f in schema:
+        payload = f.name != key and f.type in _PAYLOAD_TYPES
+        for leaf in _leaf_paths(f.name, f.type):
+            if payload:
+                compression[leaf], level[leaf] = "zstd", 3
+            else:
+                compression[leaf] = "snappy"
+                stats.append(leaf)
+    return {"compression": compression,
+            "compression_level": level,
+            "write_statistics": stats}
+
+
+def fs_publish_table(tbl: pa.Table, p, *, key: str) -> None:
+    """Atomic publish of one lake data file (same visibility contract
+    as ``fs_publish_bytes``), written by ``_lake_write_options`` and
+    without the ``pandas`` schema metadata, which lake reads do not
+    need."""
+    md = tbl.schema.metadata
+    if md and b"pandas" in md:
+        tbl = tbl.replace_schema_metadata(
+            {k: v for k, v in md.items() if k != b"pandas"} or None)
+    kw = _lake_write_options(tbl.schema, key)
     if _is_fsp(p):
         # one put: the output stream installs the object on close
         pq.write_table(tbl, p.key, filesystem=p.fs, **kw)
@@ -637,6 +687,18 @@ def fs_rmtree(p) -> None:
             pass
         return
     shutil.rmtree(Path(p), ignore_errors=True)
+
+
+def fs_rmdir_if_empty(p) -> None:
+    """Remove directory (prefix) ``p`` if it holds nothing."""
+    if _is_fsp(p):
+        if fs_is_dir(p) and not fs_glob(p, "*"):
+            fs_rmtree(p)
+        return
+    try:
+        os.rmdir(p)
+    except OSError:  # missing or not empty
+        pass
 
 
 def fs_copy_file(src, dst, prefer_link: bool = True) -> None:

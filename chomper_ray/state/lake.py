@@ -66,6 +66,7 @@ from chomper_ray.state.fs import (
     fs_rglob,
     fs_read_table,
     fs_read_text,
+    fs_rmdir_if_empty,
     fs_rmtree,
     fs_unlink,
     fs_write_text_atomic,
@@ -462,7 +463,7 @@ class _PartitionMerger:
         # concurrent drain attempts may race to write the SAME final
         # path — identical content, first-writer-wins manifest — and
         # either ordering leaves the winner's bytes intact
-        fs_publish_table(out_tbl, root / rel)
+        fs_publish_table(out_tbl, root / rel, key=self.key)
 
         ch_rel = None
         n_events = 0
@@ -473,7 +474,7 @@ class _PartitionMerger:
                       f"epoch-{epoch:06d}-c{cid:06d}.parquet")
             fs_publish_table(
                 pa.Table.from_pandas(events, preserve_index=False),
-                root / ch_rel)
+                root / ch_rel, key=self.key)
             n_events = len(events)
 
         live = int((~new[INTERNAL_DELETED]).sum())
@@ -575,7 +576,7 @@ class _MorDeltaWriter(_PartitionMerger):
                                   (self.version_ts, "seq"))
         root = _as_root(self.root)
         rel = f"{_DATA_DIR}/p={pid:05d}/delta-c{cid:06d}.parquet"
-        fs_publish_table(changes, root / rel)
+        fs_publish_table(changes, root / rel, key=self.key)
         n_del = int(pc.sum(pc.equal(changes["op"], "delete")).as_py() or 0)
         return pa.table({
             "partition_id": [pid],
@@ -1281,9 +1282,12 @@ class LakeTable:
         return self.staging_root / _STAGING_DIR / f"attempt={self._attempt}"
 
     def wipe_staging(self, epoch: int) -> None:
+        """Remove ``epoch``'s staging, and this attempt's directory once
+        nothing else is staged in it."""
         stage_root = self._staging_base / f"epoch={epoch:06d}"
         if fs_exists(stage_root):
             fs_rmtree(stage_root)
+        fs_rmdir_if_empty(self._staging_base)
 
     def stage(self, changes_ds, targets: dict[int, pa.Schema],
               head: dict | None = None) -> StagedEpochs:
@@ -2116,7 +2120,7 @@ class LakeTable:
                 tbl = _resolve_mor_pid(root, pend[str(pid)], dc, **kw)
                 h = snapshot_content_hash(tbl.to_pandas(), key)
                 rel = f"{_DATA_DIR}/p={pid:05d}/snap-{epoch:06d}m.parquet"
-                fs_publish_table(tbl, _as_root(root) / rel)
+                fs_publish_table(tbl, _as_root(root) / rel, key=key)
                 live = int(pa.compute.sum(pa.compute.invert(
                     tbl[INTERNAL_DELETED])).as_py() or 0)
                 out.append((pid, rel, tbl.num_rows, live, h))
@@ -2248,7 +2252,7 @@ class LakeTable:
                 # snapshot path with a racing ingest merge at the same
                 # chain id (different content, first-writer-wins manifests)
                 new_rel = f"{_DATA_DIR}/p={pid:05d}/snap-{epoch:06d}m.parquet"
-                fs_publish_table(kept, _as_root(root) / new_rel)
+                fs_publish_table(kept, _as_root(root) / new_rel, key=key)
                 h = snapshot_content_hash(kept.to_pandas(), key)
                 live = int(pa.compute.sum(
                     pa.compute.invert(kept[INTERNAL_DELETED])).as_py() or 0)
@@ -2497,7 +2501,7 @@ class LakeTable:
                 tbl = tbl.take(pa.compute.sort_indices(tbl[key]))
                 new_rel = (f"{_DATA_DIR}/p={pid:05d}/"
                            f"snap-{epoch:06d}r.parquet")
-                fs_publish_table(tbl, _as_root(root) / new_rel)
+                fs_publish_table(tbl, _as_root(root) / new_rel, key=key)
                 h = snapshot_content_hash(tbl.to_pandas(), key)
                 live = int(pa.compute.sum(pa.compute.invert(
                     tbl[INTERNAL_DELETED])).as_py() or 0)
@@ -2517,6 +2521,7 @@ class LakeTable:
             stats = pd.DataFrame(
                 columns=["pid", "file", "rows", "live", "hash"])
         fs_rmtree(split_root)
+        fs_rmdir_if_empty(self._staging_base)
 
         partitions = {}
         for r in stats.itertuples(index=False):

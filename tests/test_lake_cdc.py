@@ -455,6 +455,18 @@ def test_staging_file_count_bounded(change_log, tmp_path):
     assert lake.read_pandas()["url"].is_unique
 
 
+def test_tail_polls_leave_no_staging_attempts(change_log, tmp_path):
+    """Every poll stages under its own attempt directory; the commit
+    removes it with the epoch's staging, and so does a repartition."""
+    root = tmp_path / "lake"
+    for e in range(3):
+        res = run_cdc(change_log, root, num_partitions=4, max_epochs=1)
+        assert res.epochs_run == [e]
+    assert list((root / "_staging").glob("attempt=*")) == []
+    LakeTable(root).repartition_table(6)
+    assert list((root / "_staging").glob("attempt=*")) == []
+
+
 def test_id_field_surrogate_keys(tmp_path):
     """Reference id_field() backfill (sql/exporters.py:64-68,
     test_sql.py:130-141) as a lake policy: dense int64 ids assigned at

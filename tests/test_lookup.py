@@ -25,8 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from chomper_ray.state import fs as fs_mod
 from chomper_ray.state import lake as lake_mod
-from chomper_ray.state.fs import (FsPath, fs_publish_table, fs_read_table,
-                                  object_store_test_fs)
+from chomper_ray.state.fs import FsPath, fs_read_table, object_store_test_fs
 from chomper_ray.state.lake import LakeTable, load_manifest
 
 MOR_KW = {"merge_on_read": True, "collect_changes": False}
@@ -81,8 +80,8 @@ def test_read_table_matches_pq_read_table(rows, n_groups, stats, store,
         if store:
             fs = object_store_test_fs(d)
             p = FsPath(fs, "lake/f.parquet")
-            fs_publish_table(tbl, p, row_group_size=rg,
-                             write_statistics=stats)
+            pq.write_table(tbl, p.key, filesystem=fs, row_group_size=rg,
+                           write_statistics=stats)
             want = pq.read_table(p.key, filesystem=fs, columns=columns,
                                  filters=filters)
         else:
