@@ -46,9 +46,16 @@ def stable_bucket(values, num_buckets: int) -> np.ndarray:
     factorize compares ``str`` objects as C strings, so it merged two
     strings that differ only after an embedded NUL and hashed both as
     the first one seen; Arrow compares full lengths, so every string
-    routes by its own value, whatever else its array holds. Other
+    routes by its own value, whatever else its array holds. A single
+    ``str`` or ``bytes`` value (a point lookup's key) is hashed directly:
+    the value ``_bucket_text`` computes for a one-entry dictionary. Other
     arrays keep the categorized hash.
     """
+    if isinstance(values, (list, tuple)) and len(values) == 1 \
+            and isinstance(values[0], (str, bytes)):
+        hashed = pd.util.hash_array(np.array(values, dtype=object),
+                                    categorize=False)
+        return (hashed % num_buckets).astype(np.int32)
     if isinstance(values, (pa.Array, pa.ChunkedArray)):
         if _is_text(values.type):
             return _bucket_text(values, num_buckets)
@@ -167,17 +174,26 @@ def lww_apply_table(base: pa.Table, changes: pa.Table, schema: pa.Schema,
                              pa.Table.from_arrays(cols, schema=schema)])
     if both[key].null_count:
         both = both.filter(pc.is_valid(both[key]))
-    out = lww_dedup_table(both, key, (version_ts, INTERNAL_SEQ))
-    for i, f in enumerate(schema):
-        col = out[i]
+    return snapshot_cells(lww_dedup_table(both, key,
+                                          (version_ts, INTERNAL_SEQ)))
+
+
+def snapshot_cells(tbl: pa.Table) -> pa.Table:
+    """The cell forms a snapshot keeps, as the pandas round trip of
+    ``apply_changes`` leaves them: float NaN as null, a null
+    ``_deleted`` as false."""
+    for i, f in enumerate(tbl.schema):
+        col = tbl[i]
         if f.name == INTERNAL_DELETED:
+            if not col.null_count:
+                continue
             col = pc.fill_null(col, False)
         elif pa.types.is_floating(f.type):
             col = pc.if_else(pc.is_nan(col), pa.scalar(None, f.type), col)
         else:
             continue
-        out = out.set_column(i, f, col)
-    return out
+        tbl = tbl.set_column(i, f, col)
+    return tbl
 
 
 def apply_changes(

@@ -47,6 +47,7 @@ from chomper_ray.stages.merge import (
     apply_changes,
     lww_apply_table,
     lww_dedup_table,
+    snapshot_cells,
     stable_bucket,
 )
 from chomper_ray.state import schema as schema_mod
@@ -56,6 +57,7 @@ from chomper_ray.state.fs import (
     fs_exists,
     fs_glob,
     fs_is_dir,
+    fs_names,
     fs_mkdirs,
     fs_parquet_writer,
     fs_publish_bytes,
@@ -284,11 +286,8 @@ def _as_root(root):
 
 def committed_epochs(root) -> list[int]:
     d = _as_root(root) / _MANIFEST_DIR
-    if not fs_is_dir(d):
-        return []
-    return sorted(
-        int(p.stem.split("-")[1]) for p in fs_glob(d, "manifest-*.json")
-    )
+    return sorted(int(n.split("-")[1].removesuffix(".json"))
+                  for n in fs_names(d, "manifest-*.json"))
 
 
 def load_manifest(root, epoch: int | None = None) -> dict | None:
@@ -298,6 +297,24 @@ def load_manifest(root, epoch: int | None = None) -> dict | None:
     if epoch is None:
         epoch = eps[-1]
     return json.loads(fs_read_text(_manifest_path(_as_root(root), epoch)))
+
+
+@dataclass(frozen=True)
+class _ReadManifest:
+    """One manifest parsed for a read: its text, the dict, and the
+    schema's column names and Arrow form. ``LakeTable.lookup`` keeps the
+    last head it parsed; no commit path ever receives the dict."""
+    epoch: int
+    text: str
+    manifest: dict
+    names: list
+    schema: pa.Schema
+
+    @classmethod
+    def parse(cls, epoch: int, text: str) -> "_ReadManifest":
+        m = json.loads(text)
+        return cls(epoch, text, m, [f["name"] for f in m["schema"]],
+                   schema_mod.schema_from_json(m["schema"]))
 
 
 def plan_targets(head: dict | None,
@@ -606,10 +623,16 @@ def _replay_step(base_tbl: pa.Table, changes: pa.Table, target: pa.Schema,
     manifest hash bit-for-bit. The default policy (last writer wins, no
     ``protected``, no managed timestamps, ``insert_missing``) runs in
     Arrow (``lww_apply_table``); the others go through
-    ``apply_changes``."""
+    ``apply_changes``. A default-policy step with no change row (a
+    key-filtered read of a delta that lacks the key) only conforms the
+    base: its rows are snapshot rows (unique, sorted, non-null keys),
+    which ``lww_apply_table`` with an empty change side returns as they
+    are."""
     base_tbl = _conform_snapshot(base_tbl, target, managed)
     out_schema = _snapshot_schema(target, managed)
     if overwrite and not protected and not managed and insert_missing:
+        if not changes.num_rows:
+            return snapshot_cells(base_tbl)
         return lww_apply_table(base_tbl, changes, out_schema, key=key,
                                version_ts=version_ts)
     base = base_tbl.to_pandas(types_mapper=None)
@@ -1076,6 +1099,8 @@ class LakeTable:
         # fresh lake); an explicit value is validated against the manifest
         # at first use — see PartitionMismatchError
         self._requested_partitions = num_partitions
+        # the head manifest as lookups last parsed it (_lookup_manifest)
+        self._lookup_head: _ReadManifest | None = None
         self.num_partitions = num_partitions or DEFAULT_NUM_PARTITIONS
         self.overwrite = overwrite
         self.protected = protected
@@ -1815,19 +1840,65 @@ class LakeTable:
             )
         return ds
 
+    def _lookup_manifest(self, as_of_epoch: int | None
+                         ) -> _ReadManifest | None:
+        """The manifest a lookup reads. The head is parsed again only
+        when the chain's newest id or that manifest's text changed since
+        the last lookup through this table; chain ids are not dense (a
+        commit takes its log epoch when that is past the head), so the
+        newest id comes from the listing, not from probing head + 1. A
+        missing ``as_of_epoch`` raises ``ValueError``."""
+        eps = committed_epochs(self.root)
+        if as_of_epoch is not None:
+            if as_of_epoch not in eps:
+                raise ValueError(
+                    f"as_of_epoch={as_of_epoch} is not committed in "
+                    f"{self.root}; epochs still committed: {eps}")
+            return _ReadManifest.parse(as_of_epoch, fs_read_text(
+                _manifest_path(self.root, as_of_epoch)))
+        if not eps:
+            return None
+        text = fs_read_text(_manifest_path(self.root, eps[-1]))
+        head = self._lookup_head
+        if head is None or head.epoch != eps[-1] or head.text != text:
+            head = self._lookup_head = _ReadManifest.parse(eps[-1], text)
+        return head
+
+    def _lookup_key(self, key_value, schema: pa.Schema):
+        """``key_value`` as the key column's Python value (None for a
+        null key); a value the column cannot hold raises ``TypeError``."""
+        if key_value is None or key_value is pd.NA:
+            return None
+        if self.key not in schema.names:
+            return key_value
+        typ = schema.field(self.key).type
+        try:
+            return pa.scalar(key_value, type=typ).as_py()
+        except (pa.ArrowInvalid, pa.ArrowTypeError, TypeError,
+                ValueError, OverflowError) as e:
+            raise TypeError(
+                f"lookup key {key_value!r} ({type(key_value).__name__}) "
+                f"does not fit key column {self.key!r} of type {typ}") \
+                from e
+
     def lookup(self, key_value, columns=None, as_of_epoch: int | None = None):
         """Point lookup: read ONLY the one partition the key hashes to
         (the same ``stable_bucket`` that routed writes), column-pruned.
         O(one partition file), not a table scan — the lake-native
         replacement for the reference's per-row SELECT
-        (contrib/postgres.py:354-358)."""
+        (contrib/postgres.py:354-358). A null key finds no row (LWW
+        drops null keys); a key the key column cannot hold raises
+        ``TypeError``; an ``as_of_epoch`` no manifest holds raises
+        ``ValueError``."""
         import pyarrow.compute as pc
 
-        m = load_manifest(self.root, as_of_epoch)
-        if not m:
+        rm = self._lookup_manifest(as_of_epoch)
+        if rm is None:
             return pd.DataFrame()
+        m = rm.manifest
         if as_of_epoch is None:
             self._sync_partitions(m)  # adopt/validate the committed count
+        key_value = self._lookup_key(key_value, rm.schema)
         # bucket with the count the manifest was written under: a
         # repartition since ``as_of_epoch`` changed the current one
         pid = int(stable_bucket(
@@ -1838,34 +1909,37 @@ class LakeTable:
         # the key's rows of the one partition: the base read with the key
         # pushed down, then (merge-on-read) replayed through the pending
         # deltas, filtered to the key first — exact, merges are per-key
-        # independent. Still O(one partition's files), no scan.
+        # independent. Still O(one partition's files), no scan. A null
+        # key filters by the empty key set.
         tbl = _resolve_mor_pid(
             self.root, part, m.get("delta_commits", {}),
-            columns=columns, key_filter=key_value, **self._mor_kwargs())
+            columns=columns, key_filter=[] if key_value is None else key_value,
+            **self._mor_kwargs())
         if tbl is None:
             return pd.DataFrame()
         # drop tombstones, conform to the manifest's schema (a partition
         # no commit touched since an evolution lacks the new columns,
         # which read as null) and pick columns, all in Arrow; then
-        # convert the (usually one-row) answer to pandas once
+        # convert the (usually one-row) answer to pandas once, without
+        # the schema metadata, so the frame gets the default RangeIndex
         tbl = tbl.filter(pc.invert(tbl[INTERNAL_DELETED]))
-        names = [f["name"] for f in m["schema"]]
+        names = rm.names
         want = names if columns is None else list(columns)
-        absent = [c for c in dict.fromkeys(want)
-                  if c not in tbl.column_names]
+        have = set(tbl.column_names)
+        absent = [c for c in dict.fromkeys(want) if c not in have]
         if absent:
-            target = schema_mod.schema_from_json(m["schema"])
             unknown = [c for c in absent if c not in names]
             if unknown:
                 raise KeyError(f"column(s) {unknown} not in the lake schema "
                                f"{names}")
             for c in absent:
-                tbl = tbl.append_column(target.field(c), pa.nulls(
-                    tbl.num_rows, type=target.field(c).type))
+                tbl = tbl.append_column(rm.schema.field(c), pa.nulls(
+                    tbl.num_rows, type=rm.schema.field(c).type))
         if columns is None:
             want = names + [c for c in tbl.column_names
                             if c not in names and c not in INTERNAL_COLS]
-        return tbl.select(want).to_pandas().reset_index(drop=True)
+        return tbl.select(want).replace_schema_metadata() \
+            .to_pandas(use_threads=False)
 
     def read_pandas(self, **kw) -> pd.DataFrame:
         """Small-table convenience for tests: full snapshot as pandas.

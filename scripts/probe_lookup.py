@@ -1,6 +1,6 @@
 """Point-lookup cost in isolation: CPU p50 of ``LakeTable.lookup`` per
-merge-on-read chain depth and on copy-on-write, plus a cProfile split of
-where one lookup's time goes (Parquet opens and reads vs pandas work).
+merge-on-read chain depth and on copy-on-write, the number of manifests
+in the chain, and where one lookup's CPU goes, step by step.
 
     python scripts/probe_lookup.py [--seed 1] [--lookups 300]
 
@@ -10,13 +10,20 @@ three tail epochs) in a temporary directory, outside any timing: drain
 the base epochs, fold the merge-on-read base to chain depth 0, then
 commit one tail epoch at a time and time lookups after each. Owns a
 small Ray session (2 CPUs) for the commits; lookups run in the driver.
+
+The split is mean CPU ms per lookup in each step, timed by wrapping the
+names ``state/lake.py`` calls: ``manifest`` (finding and parsing the
+head manifest), ``bucket`` (``stable_bucket``), ``reads`` (opening and
+reading Parquet files), ``replay`` (merge-on-read replay steps),
+``to_pandas`` (the answer's conversion) and ``other`` (the rest of
+``lookup``). It runs in an older tree too (copy the script into its
+``scripts/``), where the manifest step is ``load_manifest``.
 """
 
 import argparse
-import cProfile
+import contextlib
 import dataclasses
 import os
-import pstats
 import shutil
 import sys
 import tempfile
@@ -30,9 +37,7 @@ sys.path.insert(0, str(ROOT))
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [str(ROOT)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
 
-# fs_read_schema: the schema-only open of earlier revisions, so the probe
-# also splits a parent tree's lookups
-READS = {"fs_parquet_file", "fs_read_table", "fs_read_schema"}
+STEPS = ("manifest", "bucket", "reads", "replay", "to_pandas")
 
 
 def cpu_p50(lake, urls) -> float:
@@ -44,29 +49,56 @@ def cpu_p50(lake, urls) -> float:
     return float(np.median(ms))
 
 
-def profile_split(lake, urls) -> dict:
-    """Shares of the lookups' total time: Parquet reads entered from
-    outside ``state/fs.py`` (so a nested open is not counted twice), and
-    pandas work (``to_pandas`` plus pandas calls made by ``lake.py``)."""
-    prof = cProfile.Profile()
-    prof.enable()
-    for u in urls:
-        lake.lookup(u)
-    prof.disable()
-    st = pstats.Stats(prof).stats
-    total = sum(v[2] for v in st.values())
-    reads = pandas = 0.0
-    for (fname, _, func), (_, _, _, ct, callers) in st.items():
-        if fname.endswith("state/fs.py") and func in READS:
-            reads += sum(c[3] for k, c in callers.items()
-                         if not k[0].endswith("state/fs.py"))
-        elif func == "table_to_dataframe":
-            pandas += ct
-        elif "/pandas/" in fname:
-            pandas += sum(c[3] for k, c in callers.items()
-                          if k[0].endswith("state/lake.py"))
-    return {"reads_share": round(reads / total, 3),
-            "pandas_share": round(pandas / total, 3)}
+@contextlib.contextmanager
+def _timed(owner, name: str, step: str, spent: dict):
+    """Replace ``owner.name`` by a wrapper adding its CPU time to
+    ``spent[step]``; a missing name is left alone."""
+    orig = getattr(owner, name, None)
+    if orig is None:
+        yield
+        return
+
+    def wrapper(*a, **kw):
+        c = time.process_time()
+        try:
+            return orig(*a, **kw)
+        finally:
+            spent[step] += time.process_time() - c
+
+    setattr(owner, name, wrapper)
+    try:
+        yield
+    finally:
+        setattr(owner, name, orig)
+
+
+def step_split(lake, urls) -> dict:
+    """Mean CPU ms per lookup in each step (see the module docstring)."""
+    import pyarrow.pandas_compat as pdc
+
+    from chomper_ray.state import lake as lake_mod
+
+    spent = dict.fromkeys(STEPS, 0.0)
+    wraps = [(lake_mod.LakeTable, "_lookup_manifest", "manifest"),
+             (lake_mod, "load_manifest", "manifest"),
+             (lake_mod, "stable_bucket", "bucket"),
+             (lake_mod, "fs_parquet_file", "reads"),
+             (lake_mod, "fs_read_table", "reads"),
+             (lake_mod, "_replay_step", "replay"),
+             (pdc, "table_to_dataframe", "to_pandas")]
+    if hasattr(lake_mod.LakeTable, "_lookup_manifest"):
+        wraps.remove((lake_mod, "load_manifest", "manifest"))
+    total = 0.0
+    with contextlib.ExitStack() as stack:
+        for owner, name, step in wraps:
+            stack.enter_context(_timed(owner, name, step, spent))
+        for u in urls:
+            c = time.process_time()
+            lake.lookup(u)
+            total += time.process_time() - c
+    out = {k: round(v / len(urls) * 1e3, 3) for k, v in spent.items()}
+    out["other"] = round((total - sum(spent.values())) / len(urls) * 1e3, 3)
+    return out
 
 
 def main() -> None:
@@ -81,7 +113,7 @@ def main() -> None:
     from perfbench import gen
     from perfbench.workloads import NUM_PARTITIONS, SHAPES
     from chomper_ray.pipelines.cdc import run_cdc
-    from chomper_ray.state.lake import LakeTable
+    from chomper_ray.state.lake import LakeTable, committed_epochs
 
     tail = 3
     spec = SHAPES["mor_serve"].spec
@@ -111,8 +143,8 @@ def main() -> None:
             lake.lookup(urls[0])  # warm imports and the manifest path
             name = "cow" if kind == "cow" else f"mor_depth{depth}"
             out[f"{name}_cpu_p50_ms"] = round(cpu_p50(lake, urls), 3)
-            if kind == "cow" or depth == 1:
-                out[f"{name}_profile"] = profile_split(lake, urls)
+            out[f"{name}_manifests"] = len(committed_epochs(root))
+            out[f"{name}_split_ms"] = step_split(lake, urls)
     ray.shutdown()
     shutil.rmtree(work)
     print(out)

@@ -21,8 +21,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from chomper_ray.stages.merge import stable_bucket
 from chomper_ray.state import fs as fs_mod
 from chomper_ray.state import lake as lake_mod
 from chomper_ray.state.fs import FsPath, fs_read_table, object_store_test_fs
@@ -93,19 +94,71 @@ def test_read_table_matches_pq_read_table(rows, n_groups, stats, store,
     assert got.equals(want, check_metadata=True), (got, want)
 
 
-def test_read_table_prunes_row_groups_by_statistics(tmp_path, monkeypatch):
-    p = tmp_path / "f.parquet"
-    pq.write_table(_table([(k, 0, 0.0) for k in _KEYS]), p, row_group_size=3)
+def _spy_row_group_reads(monkeypatch) -> list:
+    """Record ``(row groups, columns)`` of every ``read_row_groups``."""
     read = []
     orig = pq.ParquetFile.read_row_groups
-    monkeypatch.setattr(pq.ParquetFile, "read_row_groups",
-                        lambda self, rgs, **kw: read.append(list(rgs))
-                        or orig(self, rgs, **kw))
+
+    def spy(self, rgs, columns=None, **kw):
+        read.append((list(rgs), columns))
+        return orig(self, rgs, columns=columns, **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
+    return read
+
+
+def test_read_table_prunes_row_groups_by_statistics(tmp_path, monkeypatch):
+    """Each filtered read decodes the key column of the row groups the
+    statistics keep, then the other columns of the same row groups."""
+    p = tmp_path / "f.parquet"
+    pq.write_table(_table([(k, 0, 0.0) for k in _KEYS]), p, row_group_size=3)
+    read = _spy_row_group_reads(monkeypatch)
     assert fs_read_table(p, filters=[("k", "=", "k04")])["k"].to_pylist() \
         == ["k04"]
     assert fs_read_table(p, filters=[("k", "in", ["k00", "k11"])]) \
         .num_rows == 2
-    assert read == [[1], [0, 3]]
+    assert read == [([1], ["k"]), ([1], ["n", "v", "s"]),
+                    ([0, 3], ["k"]), ([0, 3], ["n", "v", "s"])]
+
+
+def test_read_table_miss_decodes_only_the_key(tmp_path, monkeypatch):
+    """A key inside a row group's min/max range that no row holds, and
+    one outside every range: neither decodes a column but the key."""
+    p = tmp_path / "f.parquet"
+    keys = [k for k in _KEYS if k != "k04"]
+    pq.write_table(_table([(k, 0, 0.0) for k in keys]), p, row_group_size=3)
+    read = _spy_row_group_reads(monkeypatch)
+    for v, cols in (("k04", None), ("k04", ["s", "k"]), ("zz", None)):
+        got = fs_read_table(p, columns=cols, filters=[("k", "=", v)])
+        assert got.num_rows == 0
+        assert got.column_names == (cols or ["k", "n", "v", "s"])
+    assert read == [([1], ["k"]), ([1], ["k"])]
+
+
+def test_read_table_threads_only_large_reads(tmp_path, monkeypatch):
+    """Kept row groups holding fewer than ``_THREADED_ROWS`` rows decode
+    on the calling thread; larger ones through Arrow's pool."""
+    threads = []
+    orig = pq.ParquetFile.read_row_groups
+
+    def spy(self, rgs, columns=None, use_threads=True, **kw):
+        threads.append(use_threads)
+        return orig(self, rgs, columns=columns, use_threads=use_threads,
+                    **kw)
+
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
+    n = fs_mod._THREADED_ROWS
+    p = tmp_path / "f.parquet"
+    pq.write_table(_table([("k01", i, 0.0) for i in range(n)]), p,
+                   row_group_size=n - 1)
+    for v, want in (("k01", [True, True]), ("k00", [])):
+        threads.clear()
+        fs_read_table(p, filters=[("k", "=", v)])
+        assert threads == want
+    pq.write_table(_table([("k01", i, 0.0) for i in range(n - 1)]), p)
+    threads.clear()
+    fs_read_table(p, filters=[("k", "in", ["k01"])])
+    assert threads == [False, False]
 
 
 @pytest.mark.parametrize("filters", [
@@ -126,6 +179,25 @@ def test_read_table_refuses_unknown_columns(tmp_path):
         fs_read_table(p, columns=["k", "zzz"])
     with pytest.raises(KeyError, match="zzz"):
         fs_read_table(p, filters=[("zzz", "=", 1)])
+
+
+# -- the one-key bucket --------------------------------------------------------
+
+@settings(max_examples=400, deadline=None)
+@given(value=st.one_of(st.text(st.characters(blacklist_categories=["Cs"])),
+                       st.binary()),
+       num_buckets=st.integers(1, 300))
+@example(value="a\x00", num_buckets=7)
+@example(value="\x00", num_buckets=7)
+@example(value="", num_buckets=7)
+@example(value="\u00e9\u4e2d\U0001f600", num_buckets=7)
+@example(value=b"a\x00", num_buckets=7)
+def test_one_key_bucket_equals_array_path(value, num_buckets):
+    """A lookup's single key (NUL, empty, non-ASCII strings, bytes)
+    lands in the bucket staging's Arrow path gives it."""
+    want = int(stable_bucket(pa.array([value]), num_buckets)[0])
+    assert int(stable_bucket([value], num_buckets)[0]) == want
+    assert int(stable_bucket((value,), num_buckets)[0]) == want
 
 
 # -- lakes ---------------------------------------------------------------------
@@ -246,3 +318,142 @@ def test_lookup_opens_each_file_once(tmp_path, monkeypatch, kind):
         assert len(lake.lookup(URLS[0], columns=columns)) == 1
         assert len(opened) == (3 if mor else 1), opened
         assert len(set(opened)) == len(opened)
+
+
+# -- keys a lookup cannot find, and epochs it cannot read -----------------------
+
+def _lake_of(root, kind: str, epochs: int = 2) -> LakeTable:
+    lake = LakeTable(root, key="url", num_partitions=4,
+                     **(MOR_KW if kind == "mor" else COW_KW))
+    for e in range(epochs):
+        _commit(lake, e)
+    return lake
+
+
+@pytest.mark.parametrize("kind", ["cow", "mor"])
+def test_lookup_null_key_finds_nothing(tmp_path, kind):
+    """LWW drops null keys, so no row answers a null key: the frame is
+    a never-written key's, not the rows of the partition null hashes
+    to."""
+    lake = _lake_of(tmp_path / "lake", kind)
+    miss = lake.lookup(NEVER[0])
+    assert len(miss) == 0 and list(miss.columns) == \
+        list(lake.read_pandas().columns)
+    for k in (None, pd.NA):
+        pd.testing.assert_frame_equal(lake.lookup(k), miss)
+        pd.testing.assert_frame_equal(lake.lookup(k, columns=["lang"]),
+                                      miss[["lang"]])
+
+
+@pytest.mark.parametrize("kind", ["cow", "mor"])
+def test_lookup_key_of_wrong_type_raises_type_error(tmp_path, kind):
+    """A value the string key column cannot hold raises one
+    ``TypeError`` naming the column and its type; ``bytes`` of a key
+    find its row."""
+    lake = _lake_of(tmp_path / "lake", kind)
+    for k in (5, 1.5, True):
+        with pytest.raises(TypeError, match="key column 'url' of type "
+                                            "string"):
+            lake.lookup(k)
+    pd.testing.assert_frame_equal(lake.lookup(URLS[0].encode()),
+                                  lake.lookup(URLS[0]))
+
+
+@pytest.mark.parametrize("kind", ["cow", "mor"])
+def test_lookup_finds_keys_ending_in_nul(tmp_path, kind):
+    """A key ending in NUL routes by its whole value, as staging routed
+    it: the lookup finds its row."""
+    urls = [f"https://example.com/nul/{i}" + "\x00" * (1 + i % 2)
+            for i in range(8)]
+    lake = LakeTable(tmp_path / "lake", key="url", num_partitions=4,
+                     **(MOR_KW if kind == "mor" else COW_KW))
+    ev = _events(0, urls)
+    lake.commit_epoch(rd.from_arrow(pa.Table.from_pylist(ev)), 0)
+    for r in ev:
+        got = lake.lookup(r["url"], columns=["url", "lang", "score"])
+        assert got.to_dict("records") == \
+            [{"url": r["url"], "lang": "l0", "score": r["score"]}]
+
+
+@pytest.mark.parametrize("kind", ["cow", "mor"])
+def test_lookup_as_of_missing_epoch_raises_value_error(tmp_path, kind):
+    lake = _lake_of(tmp_path / "lake", kind, epochs=3)
+    for e in (99, -1, 3):
+        with pytest.raises(ValueError, match=rf"as_of_epoch={e} .*"
+                                             r"committed: \[0, 1, 2\]"):
+            lake.lookup(URLS[0], as_of_epoch=e)
+    lake.compact(keep_epochs=1)
+    with pytest.raises(ValueError, match=r"as_of_epoch=0 .*committed: \[2\]"):
+        lake.lookup(URLS[0], as_of_epoch=0)
+    pd.testing.assert_frame_equal(lake.lookup(URLS[0], as_of_epoch=2),
+                                  lake.lookup(URLS[0]))
+
+
+# -- the head-manifest cache ---------------------------------------------------
+
+@pytest.mark.parametrize("store", [False, True], ids=["posix", "mock"])
+@pytest.mark.parametrize("kind", ["cow", "mor"])
+def test_lookup_head_cache_sees_every_change(tmp_path, monkeypatch, kind,
+                                             store):
+    """One reading ``LakeTable`` keeps looking up while another table
+    commits, deletes, compacts, folds, repartitions, commits past a gap
+    in the chain ids, and the root is wiped and rebuilt to the same head
+    id: every lookup equals ``read_pandas()``'s row, and the reader
+    parses the head once per change and never in between."""
+    from chomper_ray.functions.expr import F
+    from chomper_ray.state.fs import fs_exists, fs_rmtree
+
+    root = FsPath(object_store_test_fs(tmp_path / "store"), "lake") \
+        if store else tmp_path / "lake"
+    kw = MOR_KW if kind == "mor" else COW_KW
+    parses = []
+    orig = lake_mod._ReadManifest.parse.__func__
+    monkeypatch.setattr(lake_mod._ReadManifest, "parse", classmethod(
+        lambda cls, epoch, text: parses.append(epoch) or
+        orig(cls, epoch, text)))
+    reader = LakeTable(root, key="url", **kw)
+
+    def check(changed: bool = True):
+        parses.clear()
+        _assert_lookups_equal_rows(reader, LakeTable(root, **kw)
+                                   .read_pandas())
+        assert parses == ([reader.last_committed_epoch()] if changed
+                          else []), parses
+
+    writer = LakeTable(root, key="url", num_partitions=4, **kw)
+    _commit(writer, 0)
+    check()
+    check(changed=False)
+    _commit(writer, 1)
+    check()
+    if kind == "mor":
+        writer.compact_deltas()
+        check()
+    writer.delete_where(F("lang") == "l1", version_ts_us=10**18)
+    check()
+    if kind == "mor":
+        writer.compact_deltas()
+        check()
+    writer.compact(keep_epochs=1)
+    check(changed=False)
+    moved = [u for u in URLS
+             if lake_mod.stable_bucket([u], 4)[0]
+             != lake_mod.stable_bucket([u], 7)[0]]
+    assert moved
+    writer.repartition_table(7)
+    check()
+    assert reader.num_partitions == 7
+    head = writer.last_committed_epoch()
+    writer.commit_epoch(rd.from_arrow(pa.Table.from_pylist(EPOCHS[2])),
+                        head + 3)
+    assert writer.last_committed_epoch() == head + 3
+    assert not fs_exists(lake_mod._manifest_path(root, head + 1))
+    check()
+    head = writer.last_committed_epoch()
+    fs_rmtree(root)
+    rebuilt = LakeTable(root, key="url", num_partitions=4, **kw)
+    rebuilt.commit_epoch(rd.from_arrow(pa.Table.from_pylist(EPOCHS[0][:9])),
+                         head)
+    assert rebuilt.last_committed_epoch() == head
+    check()
+    assert reader.num_partitions == 4

@@ -27,7 +27,7 @@ import pytest
 import ray.data as rd
 from hypothesis import given, settings, strategies as st
 
-from chomper_ray.stages.merge import apply_changes
+from chomper_ray.stages.merge import apply_changes, lww_apply_table
 from chomper_ray.state import lake as lake_mod
 from chomper_ray.state.lake import (LakeTable, StagedEpochs,
                                     _conform_snapshot, _replay_step,
@@ -119,6 +119,26 @@ def test_arrow_step_equals_apply_changes(base, changes, base_drop,
     assert got.equals(want), (got.to_pandas(), want.to_pandas())
     assert snapshot_content_hash(got.to_pandas(), "url") == \
         snapshot_content_hash(want.to_pandas(), "url")
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.dictionaries(_keys, _base_row, max_size=5),
+       base_drop=st.sets(st.sampled_from(["extra", "score"])),
+       change_drop=st.sets(st.sampled_from(["extra", "n", "junk"])))
+def test_step_without_change_rows_equals_lww_apply_table(base, base_drop,
+                                                         change_drop):
+    """A step whose change side is empty (a key-filtered read of a delta
+    that lacks the key) only conforms the base: the table
+    ``lww_apply_table`` returns for an empty change side, across NaN
+    and null values and an evolved target."""
+    b = _base_table(base, sorted(base_drop))
+    c = _change_table([], sorted(change_drop))
+    want = lww_apply_table(_conform_snapshot(b, TARGET, False), c,
+                           _snapshot_schema(TARGET, False), key="url",
+                           version_ts="warc_ts")
+    got = _replay_step(b, c, TARGET, commit_ts_us=0, **LWW)
+    assert got.schema.equals(want.schema)
+    assert got.equals(want), (got.to_pandas(), want.to_pandas())
 
 
 def test_arrow_step_exact_tie_change_wins():
