@@ -61,6 +61,10 @@ def stable_bucket(values, num_buckets: int) -> np.ndarray:
             return _bucket_text(values, num_buckets)
         values = values.to_pandas().to_numpy()
     arr = np.asarray(values)
+    if isinstance(values, (list, tuple)) and arr.dtype.kind in ("U", "S") \
+            and all(isinstance(v, (str, bytes)) for v in values):
+        # fixed-width numpy strings drop trailing NULs: keep the objects
+        arr = np.array(values, dtype=object)
     if arr.dtype.kind not in ("i", "u"):
         arr = arr.astype(object)
         kind = pd.api.types.infer_dtype(arr, skipna=True)

@@ -250,7 +250,7 @@ class LakeANNIndex(_LsmSegmentIndex):
         block's source path, cell = nearest centroid (row-local). One
         read instead of a two-branch ``union`` — UnionOperator feeding
         the cell shuffle can livelock Ray's streaming executor at
-        large-segment scale (see LakeTextIndex._postings_ds)."""
+        large-segment scale (see _LsmSegmentIndex)."""
         import ray
         import ray.data as rd
 

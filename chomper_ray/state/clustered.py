@@ -263,7 +263,7 @@ class _LakeClusteredLayout(_LsmSegmentIndex):
         read. op (+1 new / −1 old) derives per-row from each block's
         source path — one read instead of a two-branch ``union``, which
         can livelock Ray's streaming executor at large-segment scale
-        (see LakeTextIndex._postings_ds). Schema differences across an
+        (see _LsmSegmentIndex). Schema differences across an
         evolution commit (missing value columns, int widening) are
         handled by reading with an explicit target schema: the scanner
         null-fills absent fields and casts per file, and the read is

@@ -284,7 +284,7 @@ class LakeMinHashIndex(_LsmSegmentIndex):
         read, op derived per row from the block's source path (the
         single-read discipline every LSM writer here follows — a
         two-branch union can livelock the streaming executor at
-        large-segment scale; see LakeTextIndex._postings_ds)."""
+        large-segment scale; see _LsmSegmentIndex)."""
         import ray.data as rd
 
         from chomper_ray.stages.merge import INTERNAL_DELETED

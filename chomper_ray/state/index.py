@@ -2,17 +2,25 @@
 primitive a 100 TB corpus needs for targeted retrieval (keyword
 filtering, quality-slice pulls, eval-leak forensics) without a scan.
 
-Layout: distinct (token, doc_id) postings, hash-partitioned by token
-into ``root/t=NNNNN/part.parquet`` files sorted by (token, doc_id),
-plus a ``_LAYOUT.json``. Build is one explode → per-block distinct →
-one co-locating shuffle (the postings exchange is paid ONCE); a query
-for k tokens then reads AT MOST k bucket files (usually fewer — tokens
-sharing a bucket share the read) and never touches document text.
+Layout: distinct (token, doc) postings, hash-partitioned by token
+into ``t=NNNNN/part.parquet`` files sorted by token, so a query for k
+tokens reads AT MOST k bucket files (usually fewer — tokens sharing a
+bucket share the read) and never touches document text; multi-token
+AND/OR combine on doc arrays driver-side — bounded by the matched
+postings, not the corpus.
 
-Postings are per-token sorted runs, so per-bucket filtering is a
-vectorized ``searchsorted`` slice, and multi-token AND/OR combine on
-doc_id arrays driver-side — bounded by the matched postings, not the
-corpus.
+Two builders write that layout:
+
+- ``build_inverted_index`` (standalone, over any Dataset, optionally
+  with positions for ``phrase_search``): one explode → per-block
+  distinct → one co-locating ``groupby`` shuffle, plus a
+  ``_LAYOUT.json``.
+- ``LakeTextIndex`` (maintained over a ``LakeTable`` commit by commit):
+  one signed LSM segment per commit, written by two map-only passes
+  that exchange postings through scratch files — one task per touched
+  lake partition, then one per token bucket — from only the docs whose
+  text changed. Its reads take a token's rows from each bucket file
+  by a filtered Parquet read.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from chomper_ray.stages.merge import stable_bucket
+from chomper_ray.state.fs import fs_parquet_writer, fs_read_table
 
 
 def build_inverted_index(ds, root: str | Path, col: str = "text",
@@ -139,12 +148,9 @@ def resolve_token_bucket(seg_dirs, pid: int, token: str | None = None):
         d = Path(sdir) / f"t={pid:05d}"
         if not (d / "_SUCCESS").exists():
             continue
-        t = pq.read_table(d / "part.parquet").to_pandas()
-        if token is not None:
-            toks = t["token"].to_numpy()
-            lo = np.searchsorted(toks, token, side="left")
-            hi = np.searchsorted(toks, token, side="right")
-            t = t.iloc[lo:hi]
+        t = fs_read_table(d / "part.parquet", filters=None
+                          if token is None else [("token", "=", token)]) \
+            .to_pandas()
         if len(t):
             parts.append(t.assign(_r=rank))
     if not parts:
@@ -269,10 +275,19 @@ class _LsmSegmentIndex:
     ``LakeANNIndex`` vectors — state/annindex.py): segment bookkeeping
     under ``root/seg-<cid:06d>[-full]/`` with a ``_SEGMENT.json`` marker
     as the exactly-once commit point, plus the manifest-chain walk that
-    turns each lake commit into a (new_files, old_files) diff of its
-    touched partitions. Subclasses implement ``_write_segment(cid,
-    new_files, old_files, full)`` — what a segment CONTAINS (postings,
-    vectors, ...) is theirs; WHEN one is written is decided here."""
+    turns each lake commit into one ``(new_file, old_file)`` pair per
+    touched partition (either side None when absent). Subclasses
+    implement ``_write_segment(cid, new_files, old_files, full)`` over
+    the flattened sides, or override ``_write_pairs`` to work per
+    partition — what a segment CONTAINS (postings, vectors, ...) is
+    theirs; WHEN one is written is decided here.
+
+    A writer that scans both sides reads them in ONE Ray Data read (or
+    one task per pair), never a two-branch ``union``: UnionOperator
+    feeding a bucket shuffle livelocked Ray's streaming executor at a
+    48M-posting segment (union inqueue held ~6.6 GB while the sort's
+    reservation starved the upstream maps; driver spun, workers
+    idle)."""
 
     def __init__(self, lake, root):
         self.lake = lake
@@ -282,6 +297,11 @@ class _LsmSegmentIndex:
     def _write_segment(self, cid: int, new_files: list[str],
                        old_files: list[str], full: bool) -> dict:
         raise NotImplementedError
+
+    def _write_pairs(self, cid: int, pairs: list[tuple], full: bool) \
+            -> dict:
+        return self._write_segment(cid, [n for n, _ in pairs if n],
+                                   [o for _, o in pairs if o], full)
 
     # -- segment bookkeeping ------------------------------------------------
     def _segments(self) -> list[dict]:
@@ -358,7 +378,7 @@ class _LsmSegmentIndex:
                 continue
             man = load_manifest(root, cid)
             if man.get("truncated") or not man["partitions"]:
-                applied.append(self._write_segment(cid, [], [], full=True))
+                applied.append(self._write_pairs(cid, [], full=True))
                 prev_cid = cid
                 continue
 
@@ -375,7 +395,8 @@ class _LsmSegmentIndex:
                              for _, v in sorted(man["partitions"].items())
                              if v.get("file")]
                 try:
-                    return self._write_segment(cid, files, [], full=True)
+                    return self._write_pairs(
+                        cid, [(f, None) for f in files], full=True)
                 finally:
                     if scratch is not None:
                         shutil.rmtree(scratch, ignore_errors=True)
@@ -387,7 +408,7 @@ class _LsmSegmentIndex:
                 prev_cid = cid
                 continue
             if is_compaction_manifest(man):
-                applied.append(self._write_segment(cid, [], [], full=False))
+                applied.append(self._write_pairs(cid, [], full=False))
                 prev_cid = cid
                 continue
             prev_man = load_manifest(root, prev_cid)
@@ -399,38 +420,134 @@ class _LsmSegmentIndex:
                 else:
                     scratch = tempfile.mkdtemp(prefix="chomper_idx_diff_")
                     try:
-                        new_files, old_files = materialize_mor_commit_diff(
+                        pairs = materialize_mor_commit_diff(
                             root, man, prev_man, cid,
                             self.lake._mor_kwargs(), scratch)
-                        applied.append(self._write_segment(
-                            cid, new_files, old_files, full=False))
+                        applied.append(self._write_pairs(
+                            cid, pairs, full=False))
                     finally:
                         shutil.rmtree(scratch, ignore_errors=True)
                 prev_cid = cid
                 continue
             touched = sorted({int(ln["partition_id"])
                               for ln in man.get("lineage", [])})
-            new_files = [str(root / man["partitions"][str(p)]["file"])
-                         for p in touched
-                         if man["partitions"].get(str(p), {}).get("file")]
-            old_files, missing_old = [], False
-            for p in touched:
-                part = prev_man["partitions"].get(str(p)) \
-                    if prev_man else None
-                if part is None or not part.get("file"):
-                    continue
-                f = root / part["file"]
-                if not f.exists():  # compacted away
+            pairs, missing_old = [], prev_man is None
+            for p in touched if prev_man else ():
+                new = man["partitions"].get(str(p), {}).get("file")
+                old = (prev_man["partitions"].get(str(p)) or {}).get("file")
+                if old and not (root / old).exists():  # compacted away
                     missing_old = True
                     break
-                old_files.append(str(f))
-            if missing_old or prev_man is None:
+                if new or old:
+                    pairs.append((str(root / new) if new else None,
+                                  str(root / old) if old else None))
+            if missing_old:
                 applied.append(full_build())
             else:
-                applied.append(self._write_segment(cid, new_files,
-                                                   old_files, full=False))
+                applied.append(self._write_pairs(cid, pairs, full=False))
             prev_cid = cid
         return {"applied": applied, "skipped": skipped}
+
+
+_TB = "_tb"  # token-bucket column of the segment writer's scratch files
+
+
+def _live_docs(path: str, key: str, col: str):
+    """(doc key ``d``, text) of one lake file's live rows as a polars
+    frame, null text as "" (it tokenizes like ""), and the rows read."""
+    import polars as pl
+    import pyarrow.compute as pc
+
+    from chomper_ray.stages.merge import INTERNAL_DELETED
+
+    t = fs_read_table(path, columns=[key, col, INTERNAL_DELETED])
+    rows = t.num_rows
+    t = t.filter(pc.invert(pc.fill_null(t[INTERNAL_DELETED], False)))
+    return pl.DataFrame({
+        "d": pl.from_arrow(t[key]),
+        "text": pl.from_arrow(t[col]).cast(pl.String).fill_null("")}), rows
+
+
+def _split_pair(new: str | None, old: str | None, key: str, col: str,
+                sep: str, nb: int, out: str) -> tuple:
+    """Signed postings of one touched partition, written to ``out``
+    sorted by token bucket with one row group per bucket. A doc live
+    with the same text on both sides is dropped before tokenizing: its
+    +1 and −1 postings would resolve to the posting an earlier segment
+    already holds. Returns ``(file or "", buckets, n_docs_delta,
+    sum_dl_delta, rows_read)``."""
+    import polars as pl
+
+    sides, rows = {}, 0
+    for op, path in ((1, new), (-1, old)):
+        if path is not None:
+            sides[op], n = _live_docs(path, key, col)
+            rows += n
+    if not sides:
+        return "", [], 0, 0, 0
+    if len(sides) == 2:
+        same = sides[1].join(sides[-1], on="d", how="inner") \
+            .filter(pl.col("text") == pl.col("text_right")).select("d")
+        sides = {op: df.join(same, on="d", how="anti")
+                 for op, df in sides.items()}
+    docs = pl.concat([df.with_columns(op=pl.lit(op, pl.Int8))
+                      for op, df in sides.items()]) \
+        .with_columns(w=pl.col("text").str.split(sep)) \
+        .with_columns(dl=pl.col("w").list.len().cast(pl.Int64))
+    n_docs = int(docs["op"].cast(pl.Int64).sum())
+    sum_dl = int((docs["op"].cast(pl.Int64) * docs["dl"]).sum())
+    g = docs.select("d", "w", "dl", "op").explode("w") \
+        .group_by(["d", "w", "dl", "op"]).len()
+    if not len(g):
+        return "", [], n_docs, sum_dl, rows
+    tok = g["w"].to_arrow().cast(pa.string())
+    doc = g["d"].to_arrow()
+    if pa.types.is_large_string(doc.type) or \
+            pa.types.is_string_view(doc.type):
+        doc = doc.cast(pa.string())
+    tb = stable_bucket(tok, nb)
+    order = np.argsort(tb, kind="stable")
+    tb = tb[order]
+    tbl = pa.table({
+        "token": tok, "doc": doc,
+        "tf": g["len"].cast(pl.Int64).to_arrow(), "dl": g["dl"].to_arrow(),
+        "op": g["op"].to_arrow(),
+    }).take(pa.array(order)).append_column(_TB, pa.array(tb, pa.int32()))
+    bounds = np.searchsorted(tb, np.arange(nb + 1))
+    tbs = []
+    with fs_parquet_writer(out, tbl.schema, compression="none") as w:
+        for b in range(nb):
+            lo, hi = int(bounds[b]), int(bounds[b + 1])
+            if hi > lo:
+                w.write_table(tbl.slice(lo, hi - lo), row_group_size=hi - lo)
+                tbs.append(b)
+    return out, tbs, n_docs, sum_dl, rows
+
+
+def _assemble_bucket(files: list[str], tb: int, seg_dir: str) -> int:
+    """One token bucket of a segment from the scratch files holding it:
+    distinct (token, doc, op) postings sorted by (token, doc, op), so an
+    updated doc's −1 precedes its +1. Returns the postings written."""
+    import pyarrow.compute as pc
+
+    tbl = pa.concat_tables([fs_read_table(f, filters=[(_TB, "=", tb)])
+                            for f in files]).drop_columns([_TB])
+    cols = ["token", "doc", "op"]
+    tbl = tbl.sort_by([(c, "ascending") for c in cols])
+    if tbl.num_rows > 1:
+        dup = np.ones(tbl.num_rows - 1, dtype=bool)
+        for c in cols:
+            a = tbl[c]
+            dup &= pc.equal(a.slice(1), a.slice(0, tbl.num_rows - 1)) \
+                .to_numpy(zero_copy_only=False)
+        tbl = tbl.filter(pa.array(np.concatenate([[True], ~dup])))
+    d = Path(seg_dir) / f"t={tb:05d}"
+    d.mkdir(parents=True, exist_ok=True)
+    tmp = d / f".part.{uuid.uuid4().hex[:8]}.parquet.tmp"
+    pq.write_table(tbl, tmp)
+    os.replace(tmp, d / "part.parquet")
+    (d / "_SUCCESS").touch()
+    return tbl.num_rows
 
 
 class LakeTextIndex(_LsmSegmentIndex):
@@ -443,14 +560,20 @@ class LakeTextIndex(_LsmSegmentIndex):
     its whole token set, and folding that into token-bucketed base
     files would re-read/rewrite every touched token bucket — corpus-
     sized work for a one-partition commit. Instead each lake commit
-    appends a DELTA SEGMENT: signed postings (op=+1 for the touched
-    partitions' new version, op=-1 for their previous version), token-
-    bucketed and sorted exactly like the base. Maintenance cost is
-    therefore ∝ the commit's own write amplification (tokenize old+new
-    versions of the touched partitions, one shuffle of THEIR postings),
-    never the corpus; a query reads ≤ one bucket file per segment per
-    token and resolves doc-level last-op-wins across segments (within a
-    segment, an updated doc's -1 sorts before its +1). ``compact()``
+    appends a DELTA SEGMENT: signed postings (op=+1 for a doc's new
+    version, op=-1 for its previous one), token-bucketed and sorted
+    exactly like the base. A doc live with the same text on both sides
+    of its partition's diff gets no posting: postings depend only on
+    (key, text, live), so its +1/−1 pair would resolve to the posting
+    an earlier segment already holds. The commit's touched partitions
+    are read once (``rows_scanned``, ∝ the commit's write
+    amplification), but tokenizing and writing cost ∝ the docs whose
+    text changed, never the corpus — there is no shuffle: one task per
+    touched partition writes its postings to scratch a row group per
+    token bucket, and one task per bucket assembles them. A query reads
+    ≤ one bucket file per segment per token and resolves doc-level
+    last-op-wins across segments (within a segment, an updated doc's -1
+    sorts before its +1). ``compact()``
     folds all segments into a fresh full segment to re-bound read
     amplification — the classic LSM trade, chosen deliberately for the
     100-TB CDC regime where commits are small and queries read O(k)
@@ -486,147 +609,106 @@ class LakeTextIndex(_LsmSegmentIndex):
                 "segments": len(live)}
 
     # -- segment construction -------------------------------------------------
-    def _postings_ds(self, new_files: list[str], old_files: list[str]):
-        """Signed (token, doc, tf, dl, op) postings over LIVE rows of
-        BOTH file sets in one read — op (+1 new / −1 old) derives
-        per-row from each block's source path. One read instead of a
-        two-branch ``union`` matters beyond cost: UnionOperator feeding
-        the bucket shuffle livelocks Ray's streaming executor at scale
-        (observed wedged at a 48M-posting segment: union inqueue held
-        ~6.6 GB while the sort's reservation starved the upstream maps;
-        driver spun, workers idle). The per-row sign also stays correct
-        if Ray ever bundles blocks from different files into one
-        batch."""
-        import polars as pl
-        import ray.data as rd
+    def _write_pairs(self, cid: int, pairs: list[tuple], full: bool) \
+            -> dict:
+        """One segment from the touched partitions' (new, old) file
+        pairs, in two map-only Ray Data passes that exchange postings
+        through scratch files (the lake's ``repartition_table`` idiom):
+        ``_split_postings`` (one task per pair) then
+        ``_assemble_buckets`` (one task per token bucket). The scratch
+        dir is removed whether or not the passes succeed; a failed
+        attempt's bucket dirs are removed by the next one, since no
+        marker covers them."""
+        import shutil
 
-        from chomper_ray.stages.merge import INTERNAL_DELETED
-
-        col, key, sep, nb = self.col, self.key_col, self.sep, \
-            self.num_partitions
-        assert not (set(new_files) & set(old_files))  # sign by path
-        signs = {f: 1 for f in new_files}
-        signs.update({f: -1 for f in old_files})
-
-        def postings(df: pd.DataFrame) -> pd.DataFrame:
-            op_rows = df["path"].map(signs).astype("int8")
-            df = df[~df[INTERNAL_DELETED].astype(bool)]
-            op_rows = op_rows[df.index]
-            if not len(df):
-                return pd.DataFrame({
-                    "token": pd.Series(dtype="object"),
-                    "doc": pd.Series(dtype="object"),
-                    "tf": pd.Series(dtype="int64"),
-                    "dl": pd.Series(dtype="int64"),
-                    "op": pd.Series(dtype="int8"),
-                    "_tb": pd.Series(dtype="int32")})
-            base = pl.DataFrame({
-                "d": pl.Series(df[key].to_numpy().astype(object),
-                               dtype=pl.Utf8)
-                if df[key].dtype == object else
-                pl.Series(df[key].to_numpy()),
-                "op": pl.Series(op_rows.to_numpy()),
-                "w": pl.Series(pd.Series(df[col]).fillna("")
-                               .astype(str).tolist()).str.split(sep),
-            }).with_columns(pl.col("w").list.len().alias("dl"))
-            # a doc's rows come from exactly one file, so op is constant
-            # per (d, side); carrying it through the groupby is exact
-            g = base.explode("w").group_by(["d", "w", "dl", "op"]).len() \
-                .to_pandas()
-            out = pd.DataFrame({"token": g["w"],
-                                "doc": g["d"],
-                                "tf": g["len"].astype("int64"),
-                                "dl": g["dl"].astype("int64")})
-            out["op"] = g["op"].astype("int8")
-            out["_tb"] = stable_bucket(out["token"].to_numpy(),
-                                       nb).astype("int32")
-            return out
-
-        ds = rd.read_parquet(list(signs),
-                             columns=[key, col, INTERNAL_DELETED],
-                             include_paths=True)
-        return ds.map_batches(postings, batch_format="pandas")
-
-    def _doc_stats(self, new_files: list[str], old_files: list[str]) \
-            -> tuple[int, int, int]:
-        """(n_docs_delta, sum_dl_delta, rows_scanned): ONE Ray job over
-        both file sets, signed by side (new +1 / old −1)."""
-        import polars as pl
-        import ray.data as rd
-
-        from chomper_ray.stages.merge import INTERNAL_DELETED
-
-        if not new_files and not old_files:
-            return 0, 0, 0
-        col = self.col
-        sep = self.sep
-        signs = {f: +1 for f in new_files}
-        signs.update({f: -1 for f in old_files})
-
-        def st(df: pd.DataFrame) -> pd.DataFrame:
-            sign = int(signs[df["_file"].iloc[0]])
-            rows = len(df)
-            df = df[~df[INTERNAL_DELETED].astype(bool)]
-            if not len(df):
-                return pd.DataFrame({"n": [0], "sum_dl": [0],
-                                     "rows": [rows]})
-            dl = pl.Series(pd.Series(df[col]).fillna("").astype(str)
-                           .tolist()).str.split(sep).list.len()
-            return pd.DataFrame({"n": [sign * len(df)],
-                                 "sum_dl": [sign * int(dl.sum())],
-                                 "rows": [rows]})
-
-        # a file may appear on BOTH sides (self-referential delta is
-        # impossible in the lake's COW scheme, but guard anyway)
-        assert not (set(new_files) & set(old_files))
-        ds = rd.read_parquet(list(signs), columns=[col, INTERNAL_DELETED],
-                             include_paths=True)
-        s = ds.map_batches(
-            lambda df: st(df.rename(columns={"path": "_file"})),
-            batch_format="pandas").to_pandas()
-        return int(s["n"].sum()), int(s["sum_dl"].sum()), \
-            int(s["rows"].sum())
-
-    def _write_segment(self, cid: int, new_files: list[str],
-                       old_files: list[str], full: bool) -> dict:
-        import ray.data as rd
-
-        seg_dir = self.root / (f"seg-{cid:06d}-full" if full
-                               else f"seg-{cid:06d}")
-        seg_dir.mkdir(parents=True, exist_ok=True)
-        segs = str(seg_dir)
-
-        def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
-            pid = int(g["_tb"].iloc[0])
-            g = g.drop(columns=["_tb"]) \
-                .drop_duplicates(subset=["token", "doc", "op"]) \
-                .sort_values(["token", "doc", "op"], kind="stable")
-            d = Path(segs) / f"t={pid:05d}"
-            d.mkdir(parents=True, exist_ok=True)
-            tmp = d / f".part.{uuid.uuid4().hex[:8]}.parquet.tmp"
-            pq.write_table(pa.Table.from_pandas(g, preserve_index=False),
-                           tmp)
-            os.replace(tmp, d / "part.parquet")
-            (d / "_SUCCESS").touch()
-            return pd.DataFrame({"pid": [pid], "postings": [len(g)]})
-
-        n_postings = 0
-        if new_files or old_files:
-            ds = self._postings_ds(new_files, old_files)
-            meta = ds.groupby("_tb").map_groups(
-                write_bucket, batch_format="pandas").to_pandas()
-            n_postings = int(meta["postings"].sum()) if len(meta) else 0
-        n_delta, dl_delta, rows_scanned = self._doc_stats(new_files,
-                                                          old_files)
+        name = f"seg-{cid:06d}-full" if full else f"seg-{cid:06d}"
+        seg_dir = self.root / name
+        scratch = self.root / f"_scratch-{name}"
+        for d in (seg_dir, scratch):
+            shutil.rmtree(d, ignore_errors=True)
+        seg_dir.mkdir(parents=True)
+        n_docs = sum_dl = rows = n_postings = 0
+        try:
+            if pairs:
+                marks = self._split_postings(pairs, scratch)
+                n_docs = int(marks["n_docs"].sum())
+                sum_dl = int(marks["sum_dl"].sum())
+                rows = int(marks["rows"].sum())
+                n_postings = self._assemble_buckets(seg_dir, marks)
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
         marker = {"cid": int(cid), "full": bool(full),
-                  "n_docs_delta": n_delta,
-                  "sum_dl_delta": dl_delta,
+                  "n_docs_delta": n_docs,
+                  "sum_dl_delta": sum_dl,
                   "postings": n_postings,
-                  "rows_scanned": rows_scanned}
+                  "rows_scanned": rows}
         tmp = seg_dir / f"._SEGMENT.{uuid.uuid4().hex[:8]}.tmp"
         tmp.write_text(json.dumps(marker))
         os.replace(tmp, seg_dir / "_SEGMENT.json")
         return marker
+
+    def _split_postings(self, pairs: list[tuple], scratch: Path) \
+            -> pd.DataFrame:
+        """Pass 1: one task per (new, old) pair writes its signed
+        postings to one scratch file, a row group per token bucket.
+        Returns one row per pair: the ``file`` ("" when it wrote no
+        posting), its buckets ``tbs`` and its ``n_docs``/``sum_dl``/
+        ``rows`` (rows read) deltas."""
+        import ray.data as rd
+
+        key, col, sep, nb = self.key_col, self.col, self.sep, \
+            self.num_partitions
+        scratchs = str(scratch)
+
+        def split(batch: pa.Table) -> pa.Table:
+            out = [_split_pair(n or None, o or None, key, col, sep, nb,
+                               f"{scratchs}/{uuid.uuid4().hex[:12]}.parquet")
+                   for n, o in zip(batch["new"].to_pylist(),
+                                   batch["old"].to_pylist())]
+            return pa.table({
+                "file": [o[0] for o in out],
+                "tbs": pa.array([o[1] for o in out],
+                                type=pa.list_(pa.int32())),
+                "n_docs": pa.array([o[2] for o in out], type=pa.int64()),
+                "sum_dl": pa.array([o[3] for o in out], type=pa.int64()),
+                "rows": pa.array([o[4] for o in out], type=pa.int64())})
+
+        return (rd.from_arrow(pa.table({
+                    "new": [n or "" for n, _ in pairs],
+                    "old": [o or "" for _, o in pairs]}))
+                .repartition(len(pairs))
+                .map_batches(split, batch_format="pyarrow")
+                .to_pandas())  # one row per pair — paths and counts
+
+    def _assemble_buckets(self, seg_dir: Path, marks: pd.DataFrame) -> int:
+        """Pass 2: one task per token bucket reads that bucket's row
+        groups from every scratch file holding it and writes
+        ``t=NNNNN/part.parquet`` + ``_SUCCESS``. Returns the postings
+        written."""
+        import ray.data as rd
+
+        files_of: dict[int, list[str]] = {}
+        for f, tbs in zip(marks["file"], marks["tbs"]):
+            for tb in tbs:
+                files_of.setdefault(int(tb), []).append(f)
+        if not files_of:
+            return 0
+        segs = str(seg_dir)
+
+        def assemble(batch: pa.Table) -> pa.Table:
+            tbs = batch[_TB].to_pylist()
+            n = [_assemble_bucket(files_of[int(tb)], int(tb), segs)
+                 for tb in tbs]
+            return pa.table({_TB: pa.array(tbs, type=pa.int32()),
+                             "postings": pa.array(n, type=pa.int64())})
+
+        tbs = sorted(files_of)
+        meta = (rd.from_arrow(pa.table({
+                    _TB: pa.array(tbs, type=pa.int32())}))
+                .repartition(len(tbs))
+                .map_batches(assemble, batch_format="pyarrow")
+                .to_pandas())
+        return int(meta["postings"].sum())
 
     # -- maintenance ----------------------------------------------------------
     def compact(self) -> dict:

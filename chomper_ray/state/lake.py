@@ -815,13 +815,13 @@ def mor_diff_inputs_exist(root, man: dict, prev_man: dict | None,
 
 def materialize_mor_commit_diff(root, man: dict, prev_man: dict | None,
                                 cid: int, mor_kwargs: dict,
-                                scratch_dir) -> tuple[list[str], list[str]]:
-    """Materialize a merge-on-read ingest commit's EXACT effect as a
-    pair of snapshot-schema parquet file lists ``(new_files,
-    old_files)`` under ``scratch_dir`` — the same shape the
-    copy-on-write old-vs-new partition diff feeds derived maintenance
-    (matview partials, LSM index segments), so every consumer reuses
-    its existing file-based scan unchanged.
+                                scratch_dir) -> list[tuple]:
+    """Materialize a merge-on-read ingest commit's EXACT effect as one
+    ``(new_file, old_file)`` pair of snapshot-schema parquet files per
+    touched partition, in partition order, under ``scratch_dir`` — the
+    same shape the copy-on-write old-vs-new partition diff feeds
+    derived maintenance (matview partials, LSM index segments), so
+    every consumer reuses its existing file-based scan unchanged.
 
     Exactness: LWW merges are per-key independent, so restricting both
     sides to the commit's own key set K (the keys in its delta file) is
@@ -838,8 +838,8 @@ def materialize_mor_commit_diff(root, man: dict, prev_man: dict | None,
     downstream — tokenize/assign/shuffle/write — sees only the
     commit's OWN keys, which makes derived maintenance under MOR
     CHEAPER than under COW for small commits into big partitions.
-    Empty sides return no file. The caller owns ``scratch_dir``
-    (create before, delete after consuming the scans)."""
+    An empty side is None. The caller owns ``scratch_dir`` (create
+    before, delete after consuming the scans)."""
     import ray.data as rd
 
     scratch = Path(scratch_dir)
@@ -849,7 +849,7 @@ def materialize_mor_commit_diff(root, man: dict, prev_man: dict | None,
                             if d["commit_id"] == cid)
                for p in mor_commit_delta_pids(man, cid)}
     if not touched:
-        return [], []
+        return []
     entry = man["delta_commits"][str(cid)]
     target_json = entry["schema"]
     commit_ts_us = int(entry["commit_ts_us"])
@@ -894,8 +894,10 @@ def materialize_mor_commit_diff(root, man: dict, prev_man: dict | None,
                 [int(p) for p in pids], type=pa.int32())}))
              .repartition(len(pids))
              .map_batches(diff, batch_format="pyarrow")
-             .to_pandas())  # ≤ touched-partition rows — paths only
-    return ([f for f in stats["new"] if f], [f for f in stats["old"] if f])
+             .to_pandas()  # ≤ touched-partition rows — paths only
+             .sort_values("pid"))
+    return [(n or None, o or None)
+            for n, o in zip(stats["new"], stats["old"])]
 
 
 def _chain_start_self_contained(man: dict, cid: int) -> bool:
@@ -961,9 +963,10 @@ def plan_commit_diff(lake, man: dict, prev_man: dict | None,
         if missing_old:
             return [], [], True, None
         scratch = tempfile.mkdtemp(prefix=scratch_prefix)
-        new_files, old_files = materialize_mor_commit_diff(
+        pairs = materialize_mor_commit_diff(
             root, man, prev_man, cid, lake._mor_kwargs(), scratch)
-        return new_files, old_files, False, scratch
+        return ([n for n, _ in pairs if n], [o for _, o in pairs if o],
+                False, scratch)
     touched = sorted({int(ln["partition_id"])
                       for ln in man.get("lineage", [])})
     new_files = [str(root / man["partitions"][str(p)]["file"])

@@ -274,3 +274,23 @@ def test_stable_bucket_routes_each_string_by_its_own_value(values,
              for v in values]
     np.testing.assert_array_equal(
         stable_bucket(np.array(values, dtype=object), num_buckets), alone)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.one_of(
+           st.lists(st.text(st.characters(blacklist_categories=["Cs"])),
+                    min_size=1, max_size=20),
+           st.lists(st.binary(max_size=8), min_size=1, max_size=20)),
+       num_buckets=st.integers(1, 2**30))
+@example(values=["a\x00", "b"], num_buckets=2**30)
+@example(values=["a", "a\x00", "a\x00\x00"], num_buckets=7)
+@example(values=[b"a\x00", b"b"], num_buckets=2**30)
+def test_stable_bucket_list_tuple_and_arrow_agree(values, num_buckets):
+    """A list or tuple of strings (or bytes) buckets as its Arrow array
+    does, trailing NULs included: numpy's fixed-width strings would
+    drop them."""
+    want = stable_bucket(pa.array(values), num_buckets)
+    np.testing.assert_array_equal(stable_bucket(list(values), num_buckets),
+                                  want)
+    np.testing.assert_array_equal(stable_bucket(tuple(values), num_buckets),
+                                  want)
